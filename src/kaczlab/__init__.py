@@ -26,7 +26,6 @@ from .errors import (
     ZeroRowOrColumn,
 )
 from .matrix import (
-    AugmentedView,
     RowColMatrix,
     as_vector,
     augmented_row_update,

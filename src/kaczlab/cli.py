@@ -23,9 +23,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .diagnostics import compute_bounds
+from .diagnostics import compute_bounds, speedup
 from .errors import (
     DegenerateGeometry,
+    IncompleteRun,
     NonFiniteEntry,
     OracleNotConverged,
     OracleUnavailable,
@@ -44,16 +45,13 @@ from .problems import (
     write_matrix_market,
     write_pgm,
 )
-from .sampling import STREAM_NOISE, RngStream
+from .sampling import STREAM_NOISE, STREAM_PLANTED, RngStream
 from .solvers import ENGINES, run
 from .stopping import RULE_KINDS, StoppingRule
 from .tomo import TomoSpec, gen_paralleltomo, reconstruction_image
 
 REPORT_COLUMNS = ("engine", "m", "n", "nnz", "seed", "IT", "CPU_s", "RSE",
                   "SNR", "speedup_vs_grak")
-
-# stream id for the planted solution the synthetic right-hand side is built on
-STREAM_SEED_SOLUTION = 3
 
 _CLI_STOP_KINDS = tuple(k for k in RULE_KINDS if k != "ase")
 
@@ -104,7 +102,7 @@ def _assemble_system(args) -> LinearSystem:
         mat = _parse_gen_spec(args.gen, args.seed)
         provenance = f"{args.gen}:seed{args.seed}"
     if args.rhs == "nullspace":
-        x_seed = RngStream(args.seed, STREAM_SEED_SOLUTION).standard_normal(mat.n)
+        x_seed = RngStream(args.seed, STREAM_PLANTED).standard_normal(mat.n)
         b = build_inconsistent_rhs(mat, x_seed, noise_seed=args.seed,
                                    noise_scale=args.noise_scale,
                                    oracle_tol=args.oracle_tol)
@@ -200,24 +198,25 @@ def cmd_bench(args) -> int:
             for rep in range(args.reps)
         ]
 
-    def mean_cpu(engine):
-        return statistics.fmean(r.wall_time_s for r in all_runs[engine])
+    summaries = {}
+    for engine, reps in all_runs.items():
+        rses = [r.final_rse for r in reps if r.final_rse is not None]
+        summaries[engine] = replace(
+            reps[0],
+            iterations=int(round(statistics.fmean(r.iterations for r in reps))),
+            wall_time_s=statistics.fmean(r.wall_time_s for r in reps),
+            final_rse=statistics.fmean(rses) if rses else None)
 
     rows = []
-    flat_runs = []
     for engine in engines:
-        reps = all_runs[engine]
-        flat_runs.extend(reps)
-        mean_it = statistics.fmean(r.iterations for r in reps)
-        rses = [r.final_rse for r in reps if r.final_rse is not None]
-        summary = replace(reps[0],
-                          iterations=int(round(mean_it)),
-                          wall_time_s=mean_cpu(engine),
-                          final_rse=statistics.fmean(rses) if rses else None)
         speed = None
-        if "grak" in all_runs and mean_cpu(engine) > 0:
-            speed = mean_cpu("grak") / mean_cpu(engine)
-        rows.append(_report_row(summary, system, speedup_vs_grak=speed))
+        if "grak" in summaries:
+            try:
+                speed = speedup(summaries["grak"], summaries[engine])
+            except IncompleteRun:  # a zero wall time leaves the cell empty
+                pass
+        rows.append(_report_row(summaries[engine], system, speedup_vs_grak=speed))
+    flat_runs = [r for engine in engines for r in all_runs[engine]]
     bounds = _maybe_bounds(args, system)
     _emit(args, rows, flat_runs, bounds=bounds)
     return 0

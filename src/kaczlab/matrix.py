@@ -4,8 +4,10 @@ Every solver in this package touches individual rows A^(i) and columns A_(j)
 inside its hot loop, so the matrix is stored twice: dense inputs keep
 row-major and column-major mirrors, sparse inputs keep CSR and CSC forms of
 the same values.  Squared row norms, squared column norms and the squared
-Frobenius norm are cached at construction.  Matrices with a zero row or zero
-column are rejected outright; the solvers divide by those norms.
+Frobenius norm are cached at construction, together with the cumulative norm
+tables of weighted index sampling and, for sparse storage, the fixed-width
+tables of the batched dots.  Matrices with a zero row or zero column are
+rejected outright; the solvers divide by those norms.
 
 Scalars are real float64 throughout.
 """
@@ -19,7 +21,6 @@ from .errors import IndexOutOfRange, NonFiniteEntry, ZeroRowOrColumn
 
 __all__ = [
     "RowColMatrix",
-    "AugmentedView",
     "as_vector",
     "build_matrix",
     "kaczmarz_row_project",
@@ -94,10 +95,14 @@ class RowColMatrix:
         # denominators of the stacked-row criterion, shared by all solvers
         self.aug_row_norms_sq = 1.0 + self.row_norms_sq
         self.aug_row_norms_sq.flags.writeable = False
-        self._row_cum = None
-        self._col_cum = None
-        self._row_pad = None
-        self._col_pad = None
+        self._row_cum = np.cumsum(self.row_norms_sq)
+        self._col_cum = np.cumsum(self.col_norms_sq)
+        # padded (index, value) tables of the batched dots; None selects the
+        # segmented path
+        self._row_pad = self._col_pad = None
+        if self.is_sparse:
+            self._row_pad = self._build_padding(self._rp, self._ri, self._rx, self.m)
+            self._col_pad = self._build_padding(self._cp, self._ci, self._cx, self.n)
 
     def _init_dense(self, dense: np.ndarray):
         self.is_sparse = False
@@ -160,26 +165,6 @@ class RowColMatrix:
 
     # -- element access ----------------------------------------------------
 
-    def row_dense(self, i: int) -> np.ndarray:
-        """Row i as a dense length-n vector (copy for sparse storage)."""
-        self._check_row(i)
-        if not self.is_sparse:
-            return self._rows[i]
-        out = np.zeros(self.n)
-        s, e = self._rp[i], self._rp[i + 1]
-        out[self._ri[s:e]] = self._rx[s:e]
-        return out
-
-    def col_dense(self, j: int) -> np.ndarray:
-        """Column j as a dense length-m vector (copy for sparse storage)."""
-        self._check_col(j)
-        if not self.is_sparse:
-            return self._cols[:, j]
-        out = np.zeros(self.m)
-        s, e = self._cp[j], self._cp[j + 1]
-        out[self._ci[s:e]] = self._cx[s:e]
-        return out
-
     def to_dense(self) -> np.ndarray:
         if not self.is_sparse:
             return self._rows.copy()
@@ -223,8 +208,10 @@ class RowColMatrix:
     def _build_padding(indptr, indices, data, count):
         """Fixed-width (index, value) tables for loop-free batched row dots.
 
-        Returns None when padding would blow memory up (one long line in an
-        otherwise short-line matrix); callers then use the segmented path.
+        Padded gathers beat the segmented path on every matrix measured, so
+        both stay: this returns None only when padding would blow memory up
+        (one long line in an otherwise short-line matrix), and callers then
+        use the segmented path.
         """
         counts = np.diff(indptr)
         width = int(counts.max()) if counts.size else 0
@@ -238,16 +225,6 @@ class RowColMatrix:
         pad_idx[line, lane] = indices[flat]
         pad_val[line, lane] = data[flat]
         return pad_idx, pad_val
-
-    def _row_padding(self):
-        if self._row_pad is None:
-            self._row_pad = self._build_padding(self._rp, self._ri, self._rx, self.m) or ()
-        return self._row_pad or None
-
-    def _col_padding(self):
-        if self._col_pad is None:
-            self._col_pad = self._build_padding(self._cp, self._ci, self._cx, self.n) or ()
-        return self._col_pad or None
 
     @staticmethod
     def _segmented_dots(indptr, indices, data, ids, vec):
@@ -264,7 +241,7 @@ class RowColMatrix:
         """A^(i) . x for a batch of rows (one vector op, no Python loop)."""
         if not self.is_sparse:
             return self._rows[rows] @ x
-        pad = self._row_padding()
+        pad = self._row_pad
         if pad is not None:
             idx, val = pad
             return np.einsum("ij,ij->i", val[rows], x[idx[rows]])
@@ -274,7 +251,7 @@ class RowColMatrix:
         """A_(j) . z for a batch of columns."""
         if not self.is_sparse:
             return z @ self._cols[:, cols]
-        pad = self._col_padding()
+        pad = self._col_pad
         if pad is not None:
             idx, val = pad
             return np.einsum("ij,ij->i", val[cols], z[idx[cols]])
@@ -315,7 +292,7 @@ class RowColMatrix:
         s, e = self._rp[i], self._rp[i + 1]
         cols = self._ri[s:e]
         weights = c * self._rx[s:e]
-        pad = self._col_padding()
+        pad = self._col_pad
         if pad is not None:
             idx, val = pad
             contrib = weights[:, None] * val[cols]
@@ -335,7 +312,7 @@ class RowColMatrix:
         s, e = self._cp[j], self._cp[j + 1]
         rows = self._ci[s:e]
         weights = c * self._cx[s:e]
-        pad = self._row_padding()
+        pad = self._row_pad
         if pad is not None:
             idx, val = pad
             contrib = weights[:, None] * val[rows]
@@ -350,13 +327,9 @@ class RowColMatrix:
     # -- cached cumulative norm tables for weighted index sampling ----------
 
     def row_norm_cumsum(self) -> np.ndarray:
-        if self._row_cum is None:
-            self._row_cum = np.cumsum(self.row_norms_sq)
         return self._row_cum
 
     def col_norm_cumsum(self) -> np.ndarray:
-        if self._col_cum is None:
-            self._col_cum = np.cumsum(self.col_norms_sq)
         return self._col_cum
 
 
@@ -367,52 +340,6 @@ def build_matrix(data, shape=None) -> RowColMatrix:
     ``shape``; duplicate coordinates are summed.
     """
     return RowColMatrix(data, shape=shape)
-
-
-class AugmentedView:
-    """Zero-copy view of (A, b) as one consistent stacked system.
-
-    The stacked matrix has m rows ``[e_i^T | A^(i)]`` over the unknowns
-    ``[z; x]`` with right-hand side b, followed by n rows ``[A_(j)^T | 0]``
-    with right-hand side 0.  The view only exposes norms, right-hand sides
-    and residuals; the stacked matrix itself is never materialized.
-    """
-
-    def __init__(self, base: RowColMatrix, b):
-        self.base = base
-        self.b = as_vector(b, length=base.m, name="b")
-
-    @property
-    def m_aug(self) -> int:
-        return self.base.m + self.base.n
-
-    @property
-    def frob_sq(self) -> float:
-        return self.base.m + 2.0 * self.base.frob_sq
-
-    def row_norm_sq(self, t: int) -> float:
-        """Squared norm of stacked row t (rows first, then columns)."""
-        m = self.base.m
-        if not 0 <= t < self.m_aug:
-            raise IndexOutOfRange(f"stacked row index {t} outside [0, {self.m_aug})")
-        if t < m:
-            return float(self.base.aug_row_norms_sq[t])
-        return float(self.base.col_norms_sq[t - m])
-
-    def row_norms_sq_full(self) -> np.ndarray:
-        return np.concatenate([self.base.aug_row_norms_sq, self.base.col_norms_sq])
-
-    def rhs(self, t: int) -> float:
-        return float(self.b[t]) if t < self.base.m else 0.0
-
-    def stacked_residual(self, z: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Residual of the stacked system at (z, x): [b - z - A x; -A^T z]."""
-        return np.concatenate([self.b - z - self.base.matvec(x), -self.base.rmatvec(z)])
-
-    @staticmethod
-    def stack(z: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The stacked iterate [z; x] the windowed stopping rule monitors."""
-        return np.concatenate([z, x])
 
 
 def kaczmarz_row_project(x, i: int, rhs_i: float, mat: RowColMatrix) -> np.ndarray:

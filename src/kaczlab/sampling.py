@@ -29,6 +29,7 @@ __all__ = [
 STREAM_SOLVER = 0
 STREAM_MATRIX = 1
 STREAM_NOISE = 2
+STREAM_PLANTED = 3  # the planted solution a synthetic right-hand side is built on
 
 _MASK64 = (1 << 64) - 1
 

@@ -13,11 +13,17 @@ Four engines share one :class:`SolverState` layout:
 * ``sampled``: evaluates the same criteria only on a small uniformly sampled
   index subset, redrawn every iteration; branches as in ``agrak``.
 
+Every engine moves the iterate through three projection helpers: a
+stacked-row projection (z_i and x), a column projection (z) and an x refresh
+along one row (x).  ``agrak`` and ``sampled`` share one stacked argmax and
+one branch routine; they differ in where their residual entries come from.
+
 ``grak`` and ``agrak`` need the full residuals b - z - A x and A^T z each
-step.  Those are cached in ``state.scratch`` and updated incrementally after
-every branch (the updates touch one row or column of the Gram products), with
-a full recomputation every ``RESIDUAL_REFRESH`` steps to cap drift.
-``sampled`` deliberately never forms full residuals; that is its point.
+step.  Those are cached in ``state.scratch``, updated incrementally by the
+projection helpers (one row or column of the Gram products), and recomputed
+every ``RESIDUAL_REFRESH`` steps to cap drift or when ``state.x`` or
+``state.z`` is not the array they were computed from.  ``sampled`` and
+``rek`` deliberately never form full residuals; that is their point.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -66,7 +73,9 @@ class SolverState:
 
     ``x`` starts in range(A^T) (zero by default) and ``z`` at b; every step
     function advances ``k`` by exactly one.  ``scratch`` holds engine-owned
-    caches and is not part of the mathematical state.
+    caches and is not part of the mathematical state.  Assigning a new array
+    to ``x`` or ``z`` is always safe; after writing into them in place, call
+    ``state.scratch.clear()`` so the residual caches are rebuilt.
     """
 
     x: np.ndarray
@@ -90,6 +99,7 @@ class StepOutcome:
         return self.kind == "converged"
 
 
+@dataclass(slots=True)
 class GreedySelection:
     """Thresholds, candidate index sets and masked residuals of one greedy
     sweep over the stacked system.
@@ -101,20 +111,15 @@ class GreedySelection:
     length on demand.
     """
 
-    __slots__ = ("eps", "eps_row", "eps_col", "row_set", "col_set",
-                 "row_values", "col_values", "residual_row", "residual_col")
-
-    def __init__(self, eps, eps_row, eps_col, row_set, col_set,
-                 row_values, col_values, residual_row, residual_col):
-        self.eps = eps
-        self.eps_row = eps_row
-        self.eps_col = eps_col
-        self.row_set = row_set
-        self.col_set = col_set
-        self.row_values = row_values
-        self.col_values = col_values
-        self.residual_row = residual_row
-        self.residual_col = residual_col
+    eps: float
+    eps_row: float
+    eps_col: float
+    row_set: np.ndarray
+    col_set: np.ndarray
+    row_values: np.ndarray
+    col_values: np.ndarray
+    residual_row: np.ndarray
+    residual_col: np.ndarray
 
     @property
     def masked_row_residual(self) -> np.ndarray:
@@ -143,11 +148,14 @@ def init_state(system, seed: int, stream_id: int = 0, x0=None, z0=None) -> Solve
 
 
 def _residuals(state: SolverState, system):
-    """Cached (b - z - A x, A^T z), recomputed on first use and periodically."""
+    """Cached (b - z - A x, A^T z), recomputed on first use, periodically, and
+    whenever ``state.x`` or ``state.z`` is not the array it was built from."""
     sc = state.scratch
-    if "residual_row" not in sc or sc["stale_steps"] >= RESIDUAL_REFRESH:
+    if ("residual_row" not in sc or sc["stale_steps"] >= RESIDUAL_REFRESH
+            or sc["cached_x"] is not state.x or sc["cached_z"] is not state.z):
         sc["residual_row"] = system.b - state.z - system.mat.matvec(state.x)
         sc["residual_col"] = system.mat.rmatvec(state.z)
+        sc["cached_x"], sc["cached_z"] = state.x, state.z
         sc["stale_steps"] = 0
     return sc["residual_row"], sc["residual_col"]
 
@@ -205,6 +213,55 @@ def _apply_x_refresh(state: SolverState, system, i: int, d: float):
         sc["stale_steps"] += 1
 
 
+def _fresh_row_residual(state: SolverState, system, i: int) -> float:
+    """b_i - z_i - A^(i) x at the current iterate."""
+    return system.b[i] - state.z[i] - system.mat.row_dot(i, state.x)
+
+
+def _stacked_argmax(row_crit: np.ndarray, col_crit: np.ndarray):
+    """Best stacked index (rows first, then columns) and its criterion.
+
+    Ties break toward the row block, then toward the smallest index.
+    Returns (None, 0.0) when every criterion is zero.
+    """
+    i_best = int(np.argmax(row_crit))
+    j_best = int(np.argmax(col_crit))
+    max_row = float(row_crit[i_best])
+    max_col = float(col_crit[j_best])
+    if max_row == 0.0 and max_col == 0.0:
+        return None, 0.0
+    if max_row >= max_col:
+        return i_best, max_row
+    return row_crit.shape[0] + j_best, max_col
+
+
+def _accelerated_branch(state: SolverState, system, t: int, value: float,
+                        row_residual, col_residual) -> StepOutcome:
+    """Project stacked index t as ``agrak`` and ``sampled`` do.
+
+    A row index takes the stacked-row projection; a column index cleans z
+    and then refreshes x along one weighted-randomly drawn row.
+    ``row_residual(i)`` and ``col_residual(j)`` return b_i - z_i - A^(i) x
+    and A_(j) . z at the current iterate.
+    """
+    mat = system.mat
+    if t < mat.m:
+        d = row_residual(t) / mat.aug_row_norms_sq[t]
+        _apply_stacked_row(state, system, t, d)
+        out = StepOutcome("row", row=t, value=value)
+    else:
+        j = t - mat.m
+        c = col_residual(j) / mat.col_norms_sq[j]
+        _apply_column_projection(state, system, j, c)
+        i = weighted_row_sample(mat, state.rng)
+        # read after the column projection: b_i - z_i - A^(i) x of the new z
+        d = row_residual(i) / mat.row_norms_sq[i]
+        _apply_x_refresh(state, system, i, d)
+        out = StepOutcome("col", row=i, col=j, value=value)
+    state.k += 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # engines
 # ---------------------------------------------------------------------------
@@ -217,9 +274,9 @@ def rek_step(state: SolverState, system) -> StepOutcome:
     i = weighted_row_sample(mat, state.rng)
     j = weighted_column_sample(mat, state.rng)
     c = mat.col_dot(j, state.z) / mat.col_norms_sq[j]
-    mat.add_col_to(state.z, j, -c)
-    d = (system.b[i] - state.z[i] - mat.row_dot(i, state.x)) / mat.row_norms_sq[i]
-    mat.add_row_to(state.x, i, d)
+    _apply_column_projection(state, system, j, c)
+    d = _fresh_row_residual(state, system, i) / mat.row_norms_sq[i]
+    _apply_x_refresh(state, system, i, d)
     state.k += 1
     return StepOutcome("col", row=i, col=j, value=abs(d))
 
@@ -295,27 +352,11 @@ def agrak_step(state: SolverState, system) -> StepOutcome:
     Ties break toward the row block, then toward the smallest index.
     """
     rr, rc, row_crit, col_crit = _criteria(state, system)
-    mat = system.mat
-    i_best = int(np.argmax(row_crit))
-    j_best = int(np.argmax(col_crit))
-    max_row = float(row_crit[i_best])
-    max_col = float(col_crit[j_best])
-    if max_row == 0.0 and max_col == 0.0:
+    t, value = _stacked_argmax(row_crit, col_crit)
+    if t is None:
         return StepOutcome("converged")
-    if max_row >= max_col:
-        d = rr[i_best] / mat.aug_row_norms_sq[i_best]
-        _apply_stacked_row(state, system, i_best, d)
-        out = StepOutcome("row", row=i_best, value=max_row)
-    else:
-        c = rc[j_best] / mat.col_norms_sq[j_best]
-        _apply_column_projection(state, system, j_best, c)
-        i = weighted_row_sample(mat, state.rng)
-        # cache already reflects the new z, so this is b_i - z_i - A^(i) x
-        d = rr[i] / mat.row_norms_sq[i]
-        _apply_x_refresh(state, system, i, d)
-        out = StepOutcome("col", row=i, col=j_best, value=max_col)
-    state.k += 1
-    return out
+    # the projection helpers keep rr and rc in step with the iterate
+    return _accelerated_branch(state, system, t, value, rr.__getitem__, rc.__getitem__)
 
 
 def _subset_argmax(state: SolverState, system, subset):
@@ -367,33 +408,16 @@ def sampled_step(state: SolverState, system, eta_s: float = 0.01) -> StepOutcome
         subset = simple_random_subset(m, n, eta_s, state.rng)
         t, value = _subset_argmax(state, system, subset)
     if t is None:
+        # full sweep on fresh residuals; the greedy cache is never started
         rr = system.b - state.z - mat.matvec(state.x)
         rc = mat.rmatvec(state.z)
-        row_crit = (rr * rr) / mat.aug_row_norms_sq
-        col_crit = (rc * rc) / mat.col_norms_sq
-        max_row = float(row_crit.max())
-        max_col = float(col_crit.max())
-        if max_row == 0.0 and max_col == 0.0:
+        t, value = _stacked_argmax((rr * rr) / mat.aug_row_norms_sq,
+                                   (rc * rc) / mat.col_norms_sq)
+        if t is None:
             return StepOutcome("converged")
-        if max_row >= max_col:
-            t, value = int(np.argmax(row_crit)), max_row
-        else:
-            t, value = m + int(np.argmax(col_crit)), max_col
-    if t < m:
-        d = (system.b[t] - state.z[t] - mat.row_dot(t, state.x)) / mat.aug_row_norms_sq[t]
-        state.z[t] += d
-        mat.add_row_to(state.x, t, d)
-        out = StepOutcome("row", row=t, value=value)
-    else:
-        j = t - m
-        c = mat.col_dot(j, state.z) / mat.col_norms_sq[j]
-        mat.add_col_to(state.z, j, -c)
-        i = weighted_row_sample(mat, state.rng)
-        d = (system.b[i] - state.z[i] - mat.row_dot(i, state.x)) / mat.row_norms_sq[i]
-        mat.add_row_to(state.x, i, d)
-        out = StepOutcome("col", row=i, col=j, value=value)
-    state.k += 1
-    return out
+    return _accelerated_branch(state, system, t, value,
+                               partial(_fresh_row_residual, state, system),
+                               partial(mat.col_dot, z=state.z))
 
 
 # ---------------------------------------------------------------------------
@@ -457,18 +481,13 @@ def run(engine: str, system, rule: StoppingRule | None = None,
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    # looked up per call, so a step function rebound on the module is honoured
+    stepper = {"rek": rek_step, "grak": grak_step, "agrak": agrak_step,
+               "sampled": partial(sampled_step, eta_s=eta_s)}[engine]
     state = init_state(system, seed, stream_id)
     monitor = make_monitor(rule, system, engine) if rule is not None else None
     if monitor is not None:
         monitor.start(state, system)
-    if engine == "rek":
-        stepper = rek_step
-    elif engine == "grak":
-        stepper = grak_step
-    elif engine == "agrak":
-        stepper = agrak_step
-    else:
-        stepper = lambda st, sy: sampled_step(st, sy, eta_s)  # noqa: E731
 
     counts = {"row": 0, "col": 0}
     exact = False

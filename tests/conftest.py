@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import kaczlab as kl
+from kaczlab.sampling import STREAM_PLANTED
 
 
 def make_gaussian_system(m, n, seed, noise_scale=0.5, with_reference=True,
                          oracle_tol=1e-12):
     """Dense inconsistent test system with a planted solution."""
     mat = kl.gen_gaussian(m, n, seed)
-    x_seed = kl.RngStream(seed, 3).standard_normal(n)
+    x_seed = kl.RngStream(seed, STREAM_PLANTED).standard_normal(n)
     b = kl.build_inconsistent_rhs(mat, x_seed, noise_seed=seed,
                                   noise_scale=noise_scale)
     if not with_reference:

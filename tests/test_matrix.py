@@ -3,7 +3,6 @@ import pytest
 
 import kaczlab as kl
 from kaczlab import (
-    AugmentedView,
     IndexOutOfRange,
     NonFiniteEntry,
     ZeroRowOrColumn,
@@ -90,16 +89,23 @@ def test_products_and_single_dots(rng):
 
 
 def test_batch_dots_segmented_path(rng):
-    # force the non-padded code path by disabling the padding caches
+    # force the non-padded code path by dropping the padding tables
     mat, dense = random_sparse_matrix(rng, 12, 8)
-    mat._row_pad = ()
-    mat._col_pad = ()
+    mat._row_pad = None
+    mat._col_pad = None
     x = rng.standard_normal(8)
     z = rng.standard_normal(12)
     rows = np.array([2, 3, 11])
     cols = np.array([0, 6, 7])
     np.testing.assert_allclose(mat.rows_dot(rows, x), dense[rows] @ x, rtol=1e-12)
     np.testing.assert_allclose(mat.cols_dot(cols, z), dense[:, cols].T @ z, rtol=1e-12)
+    out_m = z.copy()
+    mat.gram_row_update(out_m, 5, 0.7)
+    np.testing.assert_allclose(out_m, z + 0.7 * (dense @ dense[5]), rtol=1e-12, atol=1e-12)
+    out_n = x.copy()
+    mat.gram_col_update(out_n, 6, -1.3)
+    np.testing.assert_allclose(out_n, x - 1.3 * (dense.T @ dense[:, 6]), rtol=1e-12,
+                               atol=1e-12)
 
 
 def test_gram_updates_match_dense(rng):
@@ -191,30 +197,18 @@ def test_projection_nonexpansive(rng):
         assert np.linalg.norm(x1 - s) <= np.linalg.norm(x - s) * (1 + 1e-12) + 1e-12
 
 
-def test_augmented_view_norms(rng):
-    mat, dense = random_sparse_matrix(rng, 9, 4)
-    b = rng.standard_normal(9)
-    view = AugmentedView(mat, b)
-    stacked = np.block([[np.eye(9), dense], [dense.T, np.zeros((4, 4))]])
-    assert view.frob_sq == pytest.approx((stacked**2).sum(), rel=1e-12)
-    for t in range(13):
-        assert view.row_norm_sq(t) == pytest.approx((stacked[t] ** 2).sum(), rel=1e-12)
-    np.testing.assert_allclose(view.row_norms_sq_full(), (stacked**2).sum(axis=1),
-                               rtol=1e-12)
-    assert view.rhs(3) == b[3]
-    assert view.rhs(9 + 2) == 0.0
-    z = rng.standard_normal(9)
-    x = rng.standard_normal(4)
-    tilde = np.concatenate([b, np.zeros(4)]) - stacked @ np.concatenate([z, x])
-    np.testing.assert_allclose(view.stacked_residual(z, x), tilde, rtol=1e-12, atol=1e-12)
-
-
-def test_view_rejects_bad_b():
-    mat = build_matrix([[1.0]])
-    with pytest.raises(NonFiniteEntry):
-        AugmentedView(mat, [np.nan])
-    with pytest.raises(IndexOutOfRange):
-        AugmentedView(mat, [1.0]).row_norm_sq(2)
+def test_stacked_norms_match_explicit_matrix(rng):
+    # the engines read the stacked system [[I, A], [A^T, 0]] through these
+    # norms; compare them against the matrix written out
+    for mat, dense in (random_sparse_matrix(rng, 9, 4),
+                       (build_matrix(rng.standard_normal((7, 3))), None)):
+        dense = mat.to_dense() if dense is None else dense
+        m, n = dense.shape
+        stacked = np.block([[np.eye(m), dense], [dense.T, np.zeros((n, n))]])
+        norms = (stacked**2).sum(axis=1)
+        np.testing.assert_allclose(mat.aug_row_norms_sq, norms[:m], rtol=1e-12)
+        np.testing.assert_allclose(mat.col_norms_sq, norms[m:], rtol=1e-12)
+        assert mat.m + 2.0 * mat.frob_sq == pytest.approx(norms.sum(), rel=1e-12)
 
 
 def test_matrices_are_immutable(rng):

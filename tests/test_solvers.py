@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -512,3 +514,24 @@ def test_residual_cache_matches_truth_after_many_steps():
     scale = max(np.linalg.norm(system.b), 1.0)
     assert np.abs(rr - true_rr).max() <= 1e-9 * scale
     assert np.abs(rc - true_rc).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("step", [grak_step, agrak_step])
+def test_residual_cache_follows_assigned_iterate(step):
+    # assigning a new x between steps must not leave the engine choosing on
+    # residuals of the old one: the next step matches a state whose caches
+    # were never built
+    system = make_gaussian_system(60, 20, seed=13, with_reference=False)
+    st = init_state(system, seed=8)
+    for _ in range(5):
+        step(st, system)
+    st.x = st.x + 0.3 * system.mat.rmatvec(np.ones(60))
+    twin = copy.deepcopy(st)
+    twin.scratch.clear()
+    out, twin_out = step(st, system), step(twin, system)
+    assert (out.kind, out.row, out.col) == (twin_out.kind, twin_out.row, twin_out.col)
+    np.testing.assert_array_equal(st.x, twin.x)
+    np.testing.assert_array_equal(st.z, twin.z)
+    true_rr = system.b - st.z - system.mat.matvec(st.x)
+    rr = st.scratch["residual_row"]
+    assert np.linalg.norm(rr - true_rr) <= 1e-12 * np.linalg.norm(true_rr)
