@@ -188,6 +188,10 @@ def cmd_bench(args) -> int:
         if engine not in ENGINES:
             print(f"error: unknown engine {engine!r}", file=sys.stderr)
             return 2
+    if len(set(engines)) < len(engines):
+        # one row per engine: a repeat would report one set of runs twice
+        print(f"error: engine named twice in {args.engine!r}", file=sys.stderr)
+        return 2
     system = _assemble_system(args)
     rule = _make_rule(args)
     all_runs: dict[str, list] = {}

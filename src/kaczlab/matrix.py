@@ -64,6 +64,8 @@ class RowColMatrix:
         Stored nonzeros (``m * n`` for dense storage).
     row_norms_sq, col_norms_sq : ndarray
         Cached squared Euclidean norms of every row / column.
+    aug_row_norms_sq, inv_aug_row_norms_sq : ndarray
+        Cached stacked-row norms 1 + ||A^(i)||^2 and their reciprocals.
     frob_sq : float
         Cached squared Frobenius norm.
     is_sparse : bool
@@ -95,14 +97,21 @@ class RowColMatrix:
         # denominators of the stacked-row criterion, shared by all solvers
         self.aug_row_norms_sq = 1.0 + self.row_norms_sq
         self.aug_row_norms_sq.flags.writeable = False
+        self.inv_aug_row_norms_sq = 1.0 / self.aug_row_norms_sq
+        self.inv_aug_row_norms_sq.flags.writeable = False
         self._row_cum = np.cumsum(self.row_norms_sq)
         self._col_cum = np.cumsum(self.col_norms_sq)
         # padded (index, value) tables of the batched dots; None selects the
         # segmented path
         self._row_pad = self._col_pad = None
+        # whether row_segments serves batches of rows: on a padded row table
+        # under half full, most of a padded gather would read padding
+        self._gather_row_segments = False
         if self.is_sparse:
             self._row_pad = self._build_padding(self._rp, self._ri, self._rx, self.m)
             self._col_pad = self._build_padding(self._cp, self._ci, self._cx, self.n)
+            self._gather_row_segments = (
+                self._row_pad is None or 2 * self.nnz < self._row_pad[0].size)
 
     def _init_dense(self, dense: np.ndarray):
         self.is_sparse = False
@@ -227,15 +236,35 @@ class RowColMatrix:
         return pad_idx, pad_val
 
     @staticmethod
-    def _segmented_dots(indptr, indices, data, ids, vec):
+    def _gather_segments(indptr, indices, data, ids):
+        """Values and indices of lines ``ids``, concatenated, and the offsets
+        of each line's segment (line r at ``offsets[r]:offsets[r + 1]``)."""
         starts = indptr[ids]
         counts = indptr[ids + 1] - starts
         flat = _concat_ranges(starts, counts)
-        prod = data[flat] * vec[indices[flat]]
-        if not prod.size:
+        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return data[flat], indices[flat], offsets
+
+    @classmethod
+    def _segmented_dots(cls, indptr, indices, data, ids, vec):
+        vals, idx, offsets = cls._gather_segments(indptr, indices, data, ids)
+        if not vals.size:
             return np.zeros(len(ids))
-        bounds = np.cumsum(counts)
-        return np.add.reduceat(prod, bounds - counts)
+        return np.add.reduceat(vals * vec[idx], offsets[:-1])
+
+    def row_segments(self, rows: np.ndarray):
+        """CSR values, column indices and segment offsets of a batch of rows.
+
+        Returns ``(values, cols, offsets)`` with row ``rows[r]`` stored at
+        ``offsets[r]:offsets[r + 1]``, so that ``np.add.reduceat(values *
+        x[cols], offsets[:-1])`` gives the row dots.  Returns None where
+        ``rows_dot`` is the cheaper way to score rows: dense storage, and a
+        sparse matrix whose padded row table is at least half full.
+        """
+        if not self._gather_row_segments:
+            return None
+        return self._gather_segments(self._rp, self._ri, self._rx, rows)
 
     def rows_dot(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         """A^(i) . x for a batch of rows (one vector op, no Python loop)."""

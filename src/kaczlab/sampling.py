@@ -22,6 +22,8 @@ __all__ = [
     "weighted_row_sample",
     "weighted_column_sample",
     "simple_random_subset",
+    "simple_random_subsets",
+    "subset_size",
     "grak_residual_sample",
 ]
 
@@ -32,6 +34,7 @@ STREAM_NOISE = 2
 STREAM_PLANTED = 3  # the planted solution a synthetic right-hand side is built on
 
 _MASK64 = (1 << 64) - 1
+_INT64_MAX = (1 << 63) - 1
 
 
 class RngStream:
@@ -103,6 +106,39 @@ def weighted_column_sample(mat: RowColMatrix, rng: RngStream) -> int:
     return _cumsum_draw(mat.col_norm_cumsum(), rng)
 
 
+def _first_distinct(draws: np.ndarray, total: int, k: int) -> np.ndarray | None:
+    """Per row of ``draws``: its first k distinct values in draw order, sorted.
+
+    Returns a (rows, k) array, or None when some row holds fewer than k
+    distinct values.  Values lie in range(total).
+    """
+    count, width = draws.shape
+    if total * width <= _INT64_MAX:
+        # (value, position) keys are unique, so a plain sort orders equal
+        # values by position, as a stable sort would
+        keys = draws * width + np.arange(width)
+        keys.sort(axis=1)
+        vals, pos = np.divmod(keys, width)
+    else:
+        pos = np.argsort(draws, axis=1, kind="stable")
+        vals = np.take_along_axis(draws, pos, axis=1)
+    r, c = np.nonzero(vals[:, 1:] == vals[:, :-1])
+    keep = np.ones(draws.shape, dtype=bool)
+    keep[r, pos[r, c + 1]] = False  # repeats of a value already drawn
+    rank = np.cumsum(keep, axis=1)
+    if rank[:, -1].min() < k:
+        return None
+    keep &= rank <= k
+    out = draws[keep].reshape(count, k)
+    out.sort(axis=1)
+    return out
+
+
+def _batch_width(k: int) -> int:
+    """Draws per first batch of the rejection sampler."""
+    return k + 16 + k // 32
+
+
 def _sample_without_replacement(total: int, k: int, rng: RngStream) -> np.ndarray:
     """Uniform sorted size-k subset of range(total), O(k) memory.
 
@@ -118,17 +154,19 @@ def _sample_without_replacement(total: int, k: int, rng: RngStream) -> np.ndarra
         picked = rng._gen.permutation(total)[:k].astype(np.int64)
         picked.sort()
         return picked
-    draws = rng._gen.integers(0, total, size=k + 16 + k // 32)
-    while True:
-        _, first_pos = np.unique(draws, return_index=True)
-        if first_pos.size >= k:
-            break
+    draws = rng._gen.integers(0, total, size=_batch_width(k))
+    while (out := _first_distinct(draws[None, :], total, k)) is None:
+        missing = k - np.unique(draws).size
         draws = np.concatenate(
-            [draws, rng._gen.integers(0, total, size=2 * (k - first_pos.size) + 8)])
-    first_pos.sort()
-    out = draws[first_pos[:k]]
-    out.sort()
-    return out
+            [draws, rng._gen.integers(0, total, size=2 * missing + 8)])
+    return out[0]
+
+
+def subset_size(m: int, n: int, eta_s: float) -> int:
+    """max(1, floor((m+n)*eta_s)), the size of a simple random subset."""
+    if not 0.0 < eta_s <= 1.0:
+        raise InvalidRatio(f"sampling ratio must be in (0, 1], got {eta_s}")
+    return max(1, int(math.floor((m + n) * eta_s + 1e-9)))
 
 
 def simple_random_subset(m: int, n: int, eta_s: float, rng: RngStream) -> SampleSubset:
@@ -137,11 +175,31 @@ def simple_random_subset(m: int, n: int, eta_s: float, rng: RngStream) -> Sample
     ``eta_s`` is the sampling ratio; the floor is clamped to one so a draw
     always exists even for tiny systems.
     """
-    if not 0.0 < eta_s <= 1.0:
-        raise InvalidRatio(f"sampling ratio must be in (0, 1], got {eta_s}")
+    k = subset_size(m, n, eta_s)
+    return SampleSubset(m=m, n=n, indices=_sample_without_replacement(m + n, k, rng))
+
+
+def simple_random_subsets(m: int, n: int, k: int, count: int, rng: RngStream) -> np.ndarray:
+    """``count`` consecutive size-k simple random subsets, one per row.
+
+    Row r is exactly the ``indices`` that the r-th of ``count`` successive
+    ``simple_random_subset`` calls, with a ratio that gives size k, would
+    return from the same stream; so the rows are independent and each is
+    uniform over the size-k subsets of {0, ..., m+n-1}.  The common case takes all the
+    draws in one call and removes repeats in one pass; when a row would have
+    needed the sampler's redraw, the stream is rewound and the rows are
+    drawn one at a time.
+    """
     total = m + n
-    k = max(1, int(math.floor(total * eta_s + 1e-9)))
-    return SampleSubset(m=m, n=n, indices=_sample_without_replacement(total, k, rng))
+    if k < total and k <= total // 8:
+        bitgen = rng._gen.bit_generator
+        start = bitgen.state
+        draws = rng._gen.integers(0, total, size=(count, _batch_width(k)))
+        out = _first_distinct(draws, total, k)
+        if out is not None:
+            return out
+        bitgen.state = start
+    return np.stack([_sample_without_replacement(total, k, rng) for _ in range(count)])
 
 
 def grak_residual_sample(selection, rng: RngStream) -> int:

@@ -11,7 +11,8 @@ Four engines share one :class:`SolverState` layout:
   criteria and, on column branches, additionally refreshes x along one
   weighted-randomly chosen row.
 * ``sampled``: evaluates the same criteria only on a small uniformly sampled
-  index subset, redrawn every iteration; branches as in ``agrak``.
+  index subset, a fresh one every iteration (drawn a block of iterations
+  ahead); branches as in ``agrak``.
 
 Every engine moves the iterate through three projection helpers: a
 stacked-row projection (z_i and x), a column projection (z) and an x refresh
@@ -41,7 +42,9 @@ from .matrix import as_vector
 from .sampling import (
     RngStream,
     grak_residual_sample,
-    simple_random_subset,
+    simple_random_subset,  # noqa: F401  the benchmark's tracer wraps this name here
+    simple_random_subsets,
+    subset_size,
     weighted_column_sample,
     weighted_row_sample,
 )
@@ -66,6 +69,9 @@ ENGINES = ("rek", "grak", "agrak", "sampled")
 
 RESIDUAL_REFRESH = 1000
 
+# subsets the sampled engine draws and gathers at a time
+SUBSET_BLOCK = 32
+
 
 @dataclass
 class SolverState:
@@ -73,9 +79,13 @@ class SolverState:
 
     ``x`` starts in range(A^T) (zero by default) and ``z`` at b; every step
     function advances ``k`` by exactly one.  ``scratch`` holds engine-owned
-    caches and is not part of the mathematical state.  Assigning a new array
-    to ``x`` or ``z`` is always safe; after writing into them in place, call
-    ``state.scratch.clear()`` so the residual caches are rebuilt.
+    caches and is not part of the mathematical state: the greedy engines'
+    residual caches, and the sampled engine's block of subsets drawn ahead
+    from ``rng``.  Assigning a new array to ``x`` or ``z`` is always safe;
+    after writing into them in place, call ``state.scratch.clear()`` so the
+    residual caches are rebuilt.  Clearing drops the unused subsets of the
+    block; the next step draws a fresh block from the stream, so the subsets
+    stay independent and uniform.
     """
 
     x: np.ndarray
@@ -359,54 +369,113 @@ def agrak_step(state: SolverState, system) -> StepOutcome:
     return _accelerated_branch(state, system, t, value, rr.__getitem__, rc.__getitem__)
 
 
-def _subset_argmax(state: SolverState, system, subset):
-    """Best stacked index over the subset by the squared criteria.
+class _SubsetBlock:
+    """The next ``SUBSET_BLOCK`` subsets of a sampled run, gathered once.
 
-    Squaring preserves the argmax of the square-root criteria and keeps the
-    hot loop free of square roots.  Returns (None, 0.0) when every sampled
-    criterion is zero.
+    Drawn in one call from the state's stream; each subset is what
+    ``simple_random_subset`` would have returned at that point of the
+    stream.  Per subset, the block gathers the right-hand side entries and
+    inverse stacked norms of its rows and the squared norms of its columns,
+    and, where ``row_segments`` serves the matrix, the CSR segments of its
+    rows, so a step gathers only the iterate entries.  A block belongs to
+    one system and one subset size; ``take`` scores the next unused subset.
     """
-    mat = system.mat
-    best_t = None
-    best = 0.0
-    if subset.rows.size:
-        rows = subset.rows
-        crit = system.b[rows] - state.z[rows]
-        crit -= mat.rows_dot(rows, state.x)
-        np.multiply(crit, crit, out=crit)
-        crit /= mat.aug_row_norms_sq[rows]
-        k = int(np.argmax(crit))
-        if crit[k] > best:
-            best = float(crit[k])
-            best_t = int(rows[k])
-    if subset.cols.size:
-        cols = subset.cols
-        crit = mat.cols_dot(cols, state.z)
-        np.multiply(crit, crit, out=crit)
-        crit /= mat.col_norms_sq[cols]
-        k = int(np.argmax(crit))
-        if crit[k] > best:
-            best = float(crit[k])
-            best_t = mat.m + int(cols[k])
-    return best_t, best
+
+    def __init__(self, system, k: int, rng: RngStream):
+        mat = self.mat = system.mat
+        self.system = system
+        self.k = k
+        subsets = simple_random_subsets(mat.m, mat.n, k, SUBSET_BLOCK, rng)
+        is_row = subsets < mat.m
+        row_counts = np.count_nonzero(is_row, axis=1)
+        self.row_bounds = np.concatenate(([0], np.cumsum(row_counts))).tolist()
+        self.col_bounds = [k * j - r for j, r in enumerate(self.row_bounds)]
+        self.rows = subsets[is_row]
+        self.cols = subsets[~is_row] - mat.m
+        self.rhs = system.b[self.rows]
+        self.inv_norms = mat.inv_aug_row_norms_sq[self.rows]
+        self.col_norms = mat.col_norms_sq[self.cols]
+        self.segments = None
+        segments = mat.row_segments(self.rows)
+        if segments is not None:
+            values, cols, offsets = segments
+            firsts = offsets[self.row_bounds]  # first entry of each subset
+            # row starts counted from the first entry of their subset
+            starts = offsets[:-1] - np.repeat(firsts[:-1], row_counts)
+            self.segments = (values, cols, starts, firsts.tolist())
+        self.used = 0
+
+    def fits(self, system, k: int) -> bool:
+        """Whether the next step on ``system`` with size-k subsets may use this block."""
+        return self.system is system and self.k == k and self.used < SUBSET_BLOCK
+
+    def take(self, x: np.ndarray, z: np.ndarray):
+        """Best stacked index of the next subset by the squared criteria.
+
+        Squaring preserves the argmax of the square-root criteria and keeps
+        the hot loop free of square roots.  Rows win ties against columns.
+        Returns (None, 0.0) when every sampled criterion is zero.
+        """
+        j = self.used
+        self.used += 1
+        best_t = None
+        best = 0.0
+        r0, r1 = self.row_bounds[j], self.row_bounds[j + 1]
+        if r1 > r0:
+            rows = self.rows[r0:r1]
+            if self.segments is None:
+                dots = self.mat.rows_dot(rows, x)
+            else:
+                values, cols, starts, firsts = self.segments
+                e0, e1 = firsts[j], firsts[j + 1]
+                dots = np.add.reduceat(values[e0:e1] * x[cols[e0:e1]], starts[r0:r1])
+            crit = self.rhs[r0:r1] - z[rows]
+            crit -= dots
+            crit *= crit
+            crit *= self.inv_norms[r0:r1]
+            i = int(np.argmax(crit))
+            if crit[i] > best:
+                best = float(crit[i])
+                best_t = int(rows[i])
+        c0, c1 = self.col_bounds[j], self.col_bounds[j + 1]
+        if c1 > c0:
+            cols = self.cols[c0:c1]
+            crit = self.mat.cols_dot(cols, z)
+            crit *= crit
+            crit /= self.col_norms[c0:c1]
+            i = int(np.argmax(crit))
+            if crit[i] > best:
+                best = float(crit[i])
+                best_t = self.mat.m + int(cols[i])
+        return best_t, best
+
+
+def _sampled_argmax(state: SolverState, system, k: int):
+    """Score the next size-k subset of the state's block, drawing a new
+    block when the current one is spent or belongs to another system or
+    subset size."""
+    block = state.scratch.get("subset_block")
+    if block is None or not block.fits(system, k):
+        block = state.scratch["subset_block"] = _SubsetBlock(system, k, state.rng)
+    return block.take(state.x, state.z)
 
 
 def sampled_step(state: SolverState, system, eta_s: float = 0.01) -> StepOutcome:
     """One step of the subset-sampled semi-randomized engine.
 
-    A fresh uniform subset of stacked indices is drawn, the greedy criterion
+    A fresh uniform subset of stacked indices is taken, the greedy criterion
     is evaluated only there, and the winning index is projected exactly as in
-    the accelerated engine.  No full residual is ever formed.  If the sampled
-    criteria all vanish the subset is redrawn once; if they still vanish the
-    full residual decides between convergence and a full-sweep fallback.
+    the accelerated engine.  No full residual is ever formed.  Subsets are
+    drawn ``SUBSET_BLOCK`` at a time and kept in ``state.scratch``.  If the
+    sampled criteria all vanish the next subset is tried; if they still
+    vanish the full residual decides between convergence and a full-sweep
+    fallback.
     """
     mat = system.mat
-    m, n = mat.m, mat.n
-    subset = simple_random_subset(m, n, eta_s, state.rng)
-    t, value = _subset_argmax(state, system, subset)
+    k = subset_size(mat.m, mat.n, eta_s)
+    t, value = _sampled_argmax(state, system, k)
     if t is None:
-        subset = simple_random_subset(m, n, eta_s, state.rng)
-        t, value = _subset_argmax(state, system, subset)
+        t, value = _sampled_argmax(state, system, k)
     if t is None:
         # full sweep on fresh residuals; the greedy cache is never started
         rr = system.b - state.z - mat.matvec(state.x)

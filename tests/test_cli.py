@@ -71,6 +71,15 @@ def test_solve_flag_errors(capsys):
     assert code == 2
 
 
+def test_bench_rejects_repeated_engine(capsys):
+    # each engine gets one row; a repeat used to report its second set of
+    # runs in both rows
+    code, out, err = _run(capsys, "bench", "--gen", "gaussian:200x30", "--engine",
+                          "grak,grak", "--reps", "1", "--format", "json")
+    assert code == 2
+    assert out == "" and "grak,grak" in err
+
+
 def test_solve_missing_matrix_is_ingestion_error(capsys):
     code, _, err = _run(capsys, "solve", "--matrix", "does-not-exist.mtx")
     assert code == 3

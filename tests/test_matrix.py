@@ -70,6 +70,8 @@ def test_norm_caches_match_recomputation(rng):
         dense = mat.to_dense() if dense is None else dense
         np.testing.assert_allclose(mat.row_norms_sq, (dense**2).sum(axis=1), rtol=1e-12)
         np.testing.assert_allclose(mat.col_norms_sq, (dense**2).sum(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(mat.inv_aug_row_norms_sq,
+                                   1.0 / (1.0 + (dense**2).sum(axis=1)), rtol=1e-12)
         assert mat.frob_sq == pytest.approx((dense**2).sum(), rel=1e-12)
         assert mat.row_norms_sq.sum() == pytest.approx(mat.col_norms_sq.sum(), rel=1e-12)
 

@@ -16,7 +16,8 @@ from kaczlab import (
     weighted_column_sample,
     weighted_row_sample,
 )
-from kaczlab.solvers import GreedySelection
+from kaczlab.sampling import _first_distinct, _sample_without_replacement, simple_random_subsets
+from kaczlab.solvers import SUBSET_BLOCK, GreedySelection, _SubsetBlock
 
 
 def test_stream_reproducible():
@@ -124,6 +125,104 @@ def test_subset_uniform_over_all_subsets():
     assert counts.min() > 0
     probs = np.full(len(all_subsets), 1.0 / len(all_subsets))
     assert _chi_square_ok(counts, probs)
+
+
+def _unique_reference(total, k, rng):
+    """The rejection sampler with numpy's own first-occurrence dedupe."""
+    if k >= total:
+        return np.arange(total, dtype=np.int64)
+    if k > total // 8:
+        picked = rng._gen.permutation(total)[:k].astype(np.int64)
+        picked.sort()
+        return picked
+    draws = rng._gen.integers(0, total, size=k + 16 + k // 32)
+    while True:
+        _, first_pos = np.unique(draws, return_index=True)
+        if first_pos.size >= k:
+            break
+        draws = np.concatenate(
+            [draws, rng._gen.integers(0, total, size=2 * (k - first_pos.size) + 8)])
+    first_pos.sort()
+    out = draws[first_pos[:k]]
+    out.sort()
+    return out
+
+
+@pytest.mark.parametrize("total,k", [(60209, 602), (2500, 25), (7, 1), (16, 2),
+                                     (40, 29), (8000, 1000), (5, 5), (1_254_000, 21_000)])
+def test_without_replacement_matches_unique_dedupe(total, k):
+    # 8000/1000 needs the redraw loop; 40/29 and 5/5 take the shuffle and
+    # the full range; the last is a gen_sparse_gaussian-sized draw
+    for seed in range(5):
+        a, b = RngStream(seed), RngStream(seed)
+        np.testing.assert_array_equal(_sample_without_replacement(total, k, a),
+                                      _unique_reference(total, k, b))
+        assert a.uniform() == b.uniform()
+
+
+def test_first_distinct_without_composite_keys():
+    # a range too large for (value, position) keys takes the stable sort
+    draws = np.array([[5, 3, 5, 1, 3, 9], [2, 2, 2, 7, 0, 7]])
+    for total in (10, 1 << 62):
+        np.testing.assert_array_equal(_first_distinct(draws, total, 3), [[1, 3, 5], [0, 2, 7]])
+        assert _first_distinct(draws, total, 4) is None
+
+
+@pytest.mark.parametrize("m,n,k", [(60000, 209, 602), (2000, 500, 25), (6, 3, 1),
+                                   (4, 2, 3), (10, 6, 2), (6000, 2000, 1000), (3, 1, 4)])
+def test_subset_block_is_consecutive_single_draws(m, n, k):
+    # (6000, 2000, 1000) misses in one batch and replays from the saved stream
+    a, b = RngStream(21), RngStream(21)
+    block = simple_random_subsets(m, n, k, 33, a)
+    single = [simple_random_subset(m, n, k / (m + n), b).indices for _ in range(33)]
+    np.testing.assert_array_equal(block, np.stack(single))
+    assert a.uniform() == b.uniform()
+
+
+def _engine_subsets(m, n, k, blocks, seed):
+    """The stacked index subsets the sampled engine scores, in order."""
+    system = kl.LinearSystem(build_matrix(np.arange(1.0, m * n + 1).reshape(m, n)),
+                             np.zeros(m))
+    rng = RngStream(seed)
+    out = []
+    for _ in range(blocks):
+        blk = _SubsetBlock(system, k, rng)
+        for j in range(SUBSET_BLOCK):
+            rows = blk.rows[blk.row_bounds[j]:blk.row_bounds[j + 1]]
+            cols = blk.cols[blk.col_bounds[j]:blk.col_bounds[j + 1]]
+            out.append(tuple(rows.tolist()) + tuple((cols + m).tolist()))
+    return out
+
+
+def _uniform_ok(samples, outcomes):
+    counts = dict.fromkeys(outcomes, 0)
+    for s in samples:
+        counts[s] += 1  # a KeyError is an impossible subset
+    counts = np.array(list(counts.values()))
+    return counts.min() > 0 and _chi_square_ok(counts, np.full(len(counts), 1 / len(counts)))
+
+
+@pytest.mark.parametrize("m,n,k", [(6, 3, 1), (10, 6, 2), (3, 2, 2), (4, 2, 3)])
+def test_engine_subsets_uniform_over_all_subsets(m, n, k):
+    # the first two take the batched draw, the last two the shuffle
+    outcomes = list(itertools.combinations(range(m + n), k))
+    blocks = max(4000, 400 * len(outcomes)) // SUBSET_BLOCK
+    assert _uniform_ok(_engine_subsets(m, n, k, blocks, seed=m * n + k), outcomes)
+
+
+def test_engine_subsets_independent_within_and_across_blocks():
+    # consecutive subsets must be jointly uniform over all pairs, both inside
+    # one block and across the boundary between two blocks
+    m, n = 6, 3
+    singles = [(t,) for t in range(m + n)]
+    pairs = [a + b for a in singles for b in singles]
+    subsets = _engine_subsets(m, n, 1, 4000, seed=31)
+    inside = [subsets[i] + subsets[i + 1]
+              for i in range(0, len(subsets), 2)]
+    across = [subsets[i - 1] + subsets[i]
+              for i in range(SUBSET_BLOCK, len(subsets), SUBSET_BLOCK)]
+    assert _uniform_ok(inside, pairs)
+    assert _uniform_ok(across, pairs)
 
 
 def _selection(row_vals, col_vals, m, n):

@@ -6,7 +6,9 @@ import pytest
 import kaczlab as kl
 from kaczlab import RngStream, build_matrix
 from kaczlab.solvers import (
+    SUBSET_BLOCK,
     GreedySelection,
+    _SubsetBlock,
     agrak_step,
     grak_build_selection,
     grak_step,
@@ -85,6 +87,64 @@ def naive_agrak(A, b, iters, seed):
             ii = _weighted_draw(rn2, rng)
             x = x + ((b[ii] - z[ii] - A[ii] @ x) / rn2[ii]) * A[ii]
     return x, z
+
+
+def naive_sampled(A, b, iters, seed, eta_s):
+    """Dense sampled engine; subsets come from ``simple_random_subset``,
+    SUBSET_BLOCK of them drawn whenever the previous ones are used up."""
+    m, n = A.shape
+    rn2 = (A * A).sum(1)
+    cn2 = (A * A).sum(0)
+    x = np.zeros(n)
+    z = b.copy()
+    rng = RngStream(seed)
+    queue = []
+    for _ in range(iters):
+        if not queue:
+            queue = [kl.simple_random_subset(m, n, eta_s, rng) for _ in range(SUBSET_BLOCK)]
+        s = queue.pop(0)
+        rcrit = (b - z - A @ x)[s.rows] ** 2 / (1.0 + rn2[s.rows])
+        ccrit = (A.T @ z)[s.cols] ** 2 / cn2[s.cols]
+        crit = np.concatenate([rcrit, ccrit])
+        t = int(np.argmax(crit))
+        if t < s.rows.size:
+            i = s.rows[t]
+            d = (b[i] - z[i] - A[i] @ x) / (1.0 + rn2[i])
+            z[i] += d
+            x = x + d * A[i]
+        else:
+            j = s.cols[t - s.rows.size]
+            z = z - ((A[:, j] @ z) / cn2[j]) * A[:, j]
+            ii = _weighted_draw(rn2, rng)
+            x = x + ((b[ii] - z[ii] - A[ii] @ x) / rn2[ii]) * A[ii]
+    return x, z
+
+
+def _skewed_sparse(rng, m, n):
+    """Sparse matrix whose padded row table is under half full: most rows
+    hold one or two entries, every tenth row all n."""
+    dense = np.zeros((m, n))
+    for i in range(m):
+        width = n if i % 10 == 0 else 1 + i % 2
+        dense[i, rng.choice(n, width, replace=False)] = rng.standard_normal(width)
+    ii, jj = np.nonzero(dense)
+    return build_matrix((ii, jj, dense[ii, jj]), shape=(m, n)), dense
+
+
+def _banded_sparse(rng, m, n):
+    """Sparse matrix whose padded row table is full: three entries a row."""
+    dense = np.zeros((m, n))
+    for i in range(m):
+        dense[i, (i + np.arange(3)) % n] = rng.standard_normal(3)
+    ii, jj = np.nonzero(dense)
+    return build_matrix((ii, jj, dense[ii, jj]), shape=(m, n)), dense
+
+
+def _parity_matrices(rng, m=90, n=12):
+    dense = rng.standard_normal((m, n))
+    return {"sparse, under half full": (*_skewed_sparse(rng, m, n), True),
+            "sparse, full": (*_banded_sparse(rng, m, n), False),
+            "dense": (build_matrix(dense), dense, False)}
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +449,70 @@ def test_sampled_converged_on_exact_solution():
     st.x = np.array([1.0, 1.0])
     st.z = np.zeros(2)
     assert sampled_step(st, system, eta_s=0.5).converged
+
+
+def test_sampled_block_criterion_matches_dense(rng):
+    # every subset of a block is scored as (b_i - z_i - A^(i) x)^2 /
+    # (1 + ||A^(i)||^2) on rows and (A_(j) . z)^2 / ||A_(j)||^2 on columns
+    for name, (mat, dense, segmented) in _parity_matrices(rng).items():
+        m, n = dense.shape
+        system = kl.LinearSystem(mat, rng.standard_normal(m))
+        assert (mat.row_segments(np.arange(m)) is not None) == segmented, name
+        x, z = rng.standard_normal(n), rng.standard_normal(m)
+        row_crit = (system.b - z - dense @ x) ** 2 / (1.0 + (dense * dense).sum(1))
+        col_crit = (z @ dense) ** 2 / (dense * dense).sum(0)
+        for k in (1, 12, 40):  # batched draw, batched draw, shuffle
+            blk = _SubsetBlock(system, k, RngStream(k))
+            for j in range(SUBSET_BLOCK):
+                rows = blk.rows[blk.row_bounds[j]:blk.row_bounds[j + 1]]
+                cols = blk.cols[blk.col_bounds[j]:blk.col_bounds[j + 1]]
+                assert rows.size + cols.size == k
+                crit = np.concatenate([row_crit[rows], col_crit[cols]])
+                best = int(np.argmax(crit))
+                t, value = blk.take(x, z)
+                assert t == (rows[best] if best < rows.size
+                             else m + cols[best - rows.size]), name
+                np.testing.assert_allclose(value, crit[best], rtol=1e-12)
+            assert not blk.fits(system, k)
+
+
+def test_sampled_matches_naive(rng):
+    for name, (mat, dense, _) in _parity_matrices(rng).items():
+        b = rng.standard_normal(dense.shape[0])
+        system = kl.LinearSystem(mat, b)
+        for eta_s in (0.05, 0.5):
+            st = init_state(system, seed=8)
+            for _ in range(150):
+                sampled_step(st, system, eta_s=eta_s)
+            x_ref, z_ref = naive_sampled(dense, b, 150, seed=8, eta_s=eta_s)
+            np.testing.assert_allclose(st.x, x_ref, rtol=1e-8, atol=1e-10, err_msg=name)
+            np.testing.assert_allclose(st.z, z_ref, rtol=1e-8, atol=1e-10, err_msg=name)
+
+
+def _record_scored(mat):
+    """Wrap the matrix's batched dots; returns the list they append to."""
+    scored = []
+    rows_dot, cols_dot = mat.rows_dot, mat.cols_dot
+    mat.rows_dot = lambda rows, x: scored.extend(rows.tolist()) or rows_dot(rows, x)
+    mat.cols_dot = lambda cols, z: scored.extend((cols + mat.m).tolist()) or cols_dot(cols, z)
+    return scored
+
+
+def test_sampled_block_follows_system_and_subset_size():
+    sys_a = make_gaussian_system(60, 20, seed=41, with_reference=False)
+    sys_b = make_gaussian_system(30, 8, seed=42, with_reference=False)
+    scored_a, scored_b = _record_scored(sys_a.mat), _record_scored(sys_b.mat)
+    st = init_state(sys_a, seed=5)
+    st.x = np.full(20, 0.1)  # at x = 0 every row criterion is zero
+    for eta_s, size in ((0.05, 4), (0.2, 16), (0.05, 4)):
+        scored_a.clear()
+        sampled_step(st, sys_a, eta_s=eta_s)
+        assert len(set(scored_a)) == size
+    st.x, st.z = np.full(8, 0.1), sys_b.b.copy()
+    scored_a.clear()
+    sampled_step(st, sys_b, eta_s=0.2)  # floor(38 * 0.2) = 7
+    assert scored_a == [] and len(set(scored_b)) == 7
+    assert max(scored_b) < 38
 
 
 def test_sampled_replay_deterministic():

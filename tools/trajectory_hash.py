@@ -1,0 +1,116 @@
+"""SHA-256 fingerprints of every engine's trajectory and of the benchmark problems.
+
+    python3 tools/trajectory_hash.py
+
+Run from any directory; kaczlab is imported from this checkout's ``src/`` and
+the benchmark problems are built by ``benchmarks/workloads.py``.  BLAS is
+pinned to one thread in this process's environment before numpy loads, so
+the fingerprints do not depend on the thread count.  Each output line is
+``<label> <sha256>``.  Two checkouts print the same line exactly when that
+engine took the same steps to the same final iterate, or when that problem
+has the same matrix and right-hand side, bit for bit.
+
+Trajectories: each engine runs ``STEPS`` steps from ``init_state`` for each
+seed in ``SEEDS`` on a dense 200x50, a sparse 3000x60 and an N=16
+tomography system; the hash covers every ``StepOutcome`` and the final
+``(x, z)``.  On the two Gaussian systems, one ``lise`` run per engine adds
+its report, less the wall time.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+
+import kaczlab as kl  # noqa: E402
+from kaczlab.sampling import STREAM_PLANTED  # noqa: E402
+from kaczlab.solvers import agrak_step, grak_step, rek_step, sampled_step  # noqa: E402
+
+STEPS = 2000
+SEEDS = (0, 1, 2)
+STEPPERS = {"rek": rek_step, "grak": grak_step, "agrak": agrak_step, "sampled": sampled_step}
+LISE = kl.StoppingRule("lise", tol=1e-4, window=200)
+
+
+def _planted_system(mat, seed):
+    x = kl.RngStream(seed, STREAM_PLANTED).standard_normal(mat.n)
+    b = kl.build_inconsistent_rhs(mat, x, noise_seed=seed, noise_scale=0.5)
+    x_star, z_star = kl.reference_solution(mat, b)
+    return kl.LinearSystem(mat, b, x_star, z_star)
+
+
+def systems():
+    """(label, system, whether to add a lise run) for each trajectory system."""
+    yield "dense-200x50", _planted_system(kl.gen_gaussian(200, 50, seed=11), 11), True
+    yield ("sparse-3000x60",
+           _planted_system(kl.gen_sparse_gaussian(3000, 60, 0.05, seed=12), 12), True)
+    spec = kl.TomoSpec(size=16, angles=tuple(np.arange(0.0, 179.0, 6.0)), rays=23)
+    mat, phantom = kl.gen_paralleltomo(spec)
+    b = kl.build_inconsistent_rhs(mat, phantom, noise_seed=13, noise_scale=0.5)
+    yield "tomo-N16", kl.LinearSystem(mat, b, x_star=phantom), False
+
+
+def trajectory_hash(step, system, seed) -> str:
+    h = hashlib.sha256()
+    state = kl.init_state(system, seed)
+    for _ in range(STEPS):
+        out = step(state, system)
+        h.update(f"{out.kind},{out.row},{out.col},{float(out.value).hex()};".encode())
+        if out.converged:
+            break
+    h.update(state.x.tobytes())
+    h.update(state.z.tobytes())
+    return h.hexdigest()
+
+
+def report_hash(engine, system) -> str:
+    report = kl.run(engine, system, rule=LISE, max_iters=50_000, seed=7)
+    fields = report.to_dict()
+    fields.pop("wall_time_s")
+    h = hashlib.sha256(repr(sorted(fields.items())).encode())
+    h.update(report.final_state.x.tobytes())
+    h.update(report.final_state.z.tobytes())
+    return h.hexdigest()
+
+
+def problem_hash(system) -> str:
+    mat = system.mat
+    h = hashlib.sha256(f"{mat.m}x{mat.n}".encode())
+    if mat.is_sparse:
+        # the canonical CSR arrays; densifying the tomography matrix takes 0.6 GB
+        csr = mat._csr
+        h.update(np.asarray(csr.indptr, dtype=np.int64).tobytes())
+        h.update(np.asarray(csr.indices, dtype=np.int64).tobytes())
+        h.update(np.asarray(csr.data, dtype=np.float64).tobytes())
+    else:
+        h.update(mat.to_dense().tobytes())
+    h.update(system.b.tobytes())
+    return h.hexdigest()
+
+
+def main():
+    from workloads import WORKLOADS
+
+    for name, workload in WORKLOADS.items():
+        problem = workload.setup(workload.problem_seed)
+        print(f"problem {name} {problem_hash(problem.system)}", flush=True)
+    for label, system, with_lise in systems():
+        for engine, step in STEPPERS.items():
+            for seed in SEEDS:
+                print(f"steps {label} {engine} seed {seed} "
+                      f"{trajectory_hash(step, system, seed)}", flush=True)
+            if with_lise:
+                print(f"lise {label} {engine} {report_hash(engine, system)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
