@@ -25,14 +25,7 @@ from .errors import (
     ZeroResidual,
     ZeroRowOrColumn,
 )
-from .matrix import (
-    RowColMatrix,
-    as_vector,
-    augmented_row_update,
-    build_matrix,
-    column_z_update,
-    kaczmarz_row_project,
-)
+from .matrix import RowColMatrix, as_vector, build_matrix
 from .problems import (
     LinearSystem,
     build_inconsistent_rhs,
@@ -60,9 +53,12 @@ from .solvers import (
     SolverState,
     StepOutcome,
     agrak_step,
+    augmented_row_update,
+    column_z_update,
     grak_build_selection,
     grak_step,
     init_state,
+    kaczmarz_row_project,
     rek_step,
     run,
     sampled_step,

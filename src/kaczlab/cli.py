@@ -293,7 +293,8 @@ def _add_run_flags(p: argparse.ArgumentParser, default_engine: str):
     p.add_argument("--window-L", type=int, default=400, dest="window_L",
                    help="lag L of the windowed stopping rule")
     p.add_argument("--check-period", type=int, default=None,
-                   help="override the rule evaluation cadence")
+                   help="override the evaluation cadence of the rse, ase, aise, rres, "
+                        "rek-native and grak-native rules (lise checks every L)")
     p.add_argument("--max-iters", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bounds", action="store_true",

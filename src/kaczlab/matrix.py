@@ -1,4 +1,4 @@
-"""Dual-access matrix storage and the elementary projection updates.
+"""Dual-access matrix storage and its elementary products and updates.
 
 Every solver in this package touches individual rows A^(i) and columns A_(j)
 inside its hot loop, so the matrix is stored twice: dense inputs keep
@@ -23,9 +23,6 @@ __all__ = [
     "RowColMatrix",
     "as_vector",
     "build_matrix",
-    "kaczmarz_row_project",
-    "augmented_row_update",
-    "column_z_update",
 ]
 
 
@@ -178,12 +175,6 @@ class RowColMatrix:
         if not self.is_sparse:
             return self._rows.copy()
         return self._csr.toarray()
-
-    def to_dense_from_cols(self) -> np.ndarray:
-        """Densify from the column-oriented copy (storage-consistency checks)."""
-        if not self.is_sparse:
-            return np.ascontiguousarray(self._cols)
-        return self._csc.toarray()
 
     # -- products ----------------------------------------------------------
 
@@ -370,45 +361,3 @@ def build_matrix(data, shape=None) -> RowColMatrix:
     """
     return RowColMatrix(data, shape=shape)
 
-
-def kaczmarz_row_project(x, i: int, rhs_i: float, mat: RowColMatrix) -> np.ndarray:
-    """Orthogonal projection of x onto the hyperplane A^(i) . x = rhs_i.
-
-    Returns a new vector; afterwards the selected equation holds exactly up
-    to rounding.
-    """
-    mat._check_row(i)
-    x = as_vector(x, length=mat.n, name="x")
-    out = x.copy()
-    c = (rhs_i - mat.row_dot(i, out)) / mat.row_norms_sq[i]
-    mat.add_row_to(out, i, c)
-    return out
-
-
-def augmented_row_update(z, x, i: int, b, mat: RowColMatrix):
-    """One stacked-row projection: returns updated (z, x).
-
-    The correction ``d = (b_i - z_i - A^(i) x) / (1 + ||A^(i)||^2)`` is added
-    to z at entry i and to x along A^(i); afterwards
-    ``b_i - z_i - A^(i) x = 0`` up to rounding.
-    """
-    mat._check_row(i)
-    z = as_vector(z, length=mat.m, name="z").copy()
-    x = as_vector(x, length=mat.n, name="x").copy()
-    b = as_vector(b, length=mat.m, name="b")
-    d = (b[i] - z[i] - mat.row_dot(i, x)) / mat.aug_row_norms_sq[i]
-    z[i] += d
-    mat.add_row_to(x, i, d)
-    return z, x
-
-
-def column_z_update(z, j: int, mat: RowColMatrix) -> np.ndarray:
-    """Project z onto the orthogonal complement of column j.
-
-    Returns a new vector with ``A_(j) . z = 0`` up to rounding.
-    """
-    mat._check_col(j)
-    z = as_vector(z, length=mat.m, name="z").copy()
-    c = -mat.col_dot(j, z) / mat.col_norms_sq[j]
-    mat.add_col_to(z, j, c)
-    return z

@@ -48,10 +48,6 @@ class RngStream:
         key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def spawn(self, stream_id: int) -> "RngStream":
-        """Independent stream under the same seed."""
-        return RngStream(self.seed, stream_id)
-
     def uniform(self) -> float:
         return float(self._gen.random())
 
@@ -84,9 +80,6 @@ class SampleSubset:
         split = int(np.searchsorted(self.indices, self.m))
         self.rows = self.indices[:split]
         self.cols = self.indices[split:] - self.m
-
-    def __len__(self):
-        return int(self.indices.size)
 
 
 def _cumsum_draw(cum: np.ndarray, rng: RngStream) -> int:
@@ -173,22 +166,23 @@ def simple_random_subset(m: int, n: int, eta_s: float, rng: RngStream) -> Sample
     """Uniform without-replacement subset of size max(1, floor((m+n)*eta_s)).
 
     ``eta_s`` is the sampling ratio; the floor is clamped to one so a draw
-    always exists even for tiny systems.
+    always exists even for tiny systems.  This is one draw of
+    :func:`simple_random_subsets`, the sampler the ``sampled`` engine runs.
     """
     k = subset_size(m, n, eta_s)
-    return SampleSubset(m=m, n=n, indices=_sample_without_replacement(m + n, k, rng))
+    return SampleSubset(m, n, simple_random_subsets(m, n, k, 1, rng)[0])
 
 
 def simple_random_subsets(m: int, n: int, k: int, count: int, rng: RngStream) -> np.ndarray:
     """``count`` consecutive size-k simple random subsets, one per row.
 
-    Row r is exactly the ``indices`` that the r-th of ``count`` successive
-    ``simple_random_subset`` calls, with a ratio that gives size k, would
-    return from the same stream; so the rows are independent and each is
-    uniform over the size-k subsets of {0, ..., m+n-1}.  The common case takes all the
-    draws in one call and removes repeats in one pass; when a row would have
-    needed the sampler's redraw, the stream is rewound and the rows are
-    drawn one at a time.
+    Row r is exactly what the r-th of ``count`` successive sequential draws
+    ``_sample_without_replacement(m + n, k, rng)`` would return from the same
+    stream; so the rows are independent and each is uniform over the size-k
+    subsets of {0, ..., m+n-1}.  The common case takes all the draws in one
+    call and removes repeats in one pass; when a row would have needed the
+    sampler's redraw, the stream is rewound and the rows are drawn one at a
+    time.
     """
     total = m + n
     if k < total and k <= total // 8:

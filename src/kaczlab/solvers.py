@@ -16,8 +16,12 @@ Four engines share one :class:`SolverState` layout:
 
 Every engine moves the iterate through three projection helpers: a
 stacked-row projection (z_i and x), a column projection (z) and an x refresh
-along one row (x).  ``agrak`` and ``sampled`` share one stacked argmax and
-one branch routine; they differ in where their residual entries come from.
+along one row (x).  Each takes the residual entry it zeroes and computes its
+own step length.  The public projections ``augmented_row_update``,
+``column_z_update`` and ``kaczmarz_row_project`` are thin copy-returning
+wrappers over these same helpers.  ``agrak`` and ``sampled`` share one
+stacked argmax and one branch routine; they differ in where their residual
+entries come from.
 
 ``grak`` and ``agrak`` need the full residuals b - z - A x and A^T z each
 step.  Those are cached in ``state.scratch``, updated incrementally by the
@@ -38,7 +42,7 @@ import numpy as np
 
 from .diagnostics import BoundReport
 from .errors import ZeroResidual
-from .matrix import as_vector
+from .matrix import RowColMatrix, as_vector
 from .sampling import (
     RngStream,
     grak_residual_sample,
@@ -56,6 +60,9 @@ __all__ = [
     "GreedySelection",
     "StepOutcome",
     "RunReport",
+    "kaczmarz_row_project",
+    "augmented_row_update",
+    "column_z_update",
     "init_state",
     "rek_step",
     "grak_build_selection",
@@ -186,9 +193,10 @@ def _criteria(state: SolverState, system):
     return rr, rc, row_crit, col_crit
 
 
-def _apply_stacked_row(state: SolverState, system, i: int, d: float):
-    """z_i += d and x += d * A^(i), keeping the residual caches in sync."""
-    mat = system.mat
+def _apply_stacked_row(state: SolverState, mat, i: int, r: float) -> float:
+    """Zero stacked residual r = b_i - z_i - A^(i) x: with d = r / (1 + ||A^(i)||^2),
+    z_i += d and x += d * A^(i), residual caches in sync.  Returns d."""
+    d = r / mat.aug_row_norms_sq[i]
     state.z[i] += d
     mat.add_row_to(state.x, i, d)
     sc = state.scratch
@@ -198,11 +206,13 @@ def _apply_stacked_row(state: SolverState, system, i: int, d: float):
         mat.gram_row_update(rr, i, -d)
         mat.add_row_to(sc["residual_col"], i, d)
         sc["stale_steps"] += 1
+    return d
 
 
-def _apply_column_projection(state: SolverState, system, j: int, c: float):
-    """z -= c * A_(j) (c chosen to zero A_(j)'s correlation), caches in sync."""
-    mat = system.mat
+def _apply_column_projection(state: SolverState, mat, j: int, s: float) -> float:
+    """Zero s = A_(j) . z: with c = s / ||A_(j)||^2, z -= c * A_(j), residual
+    caches in sync.  Returns c."""
+    c = s / mat.col_norms_sq[j]
     mat.add_col_to(state.z, j, -c)
     sc = state.scratch
     rr = sc.get("residual_row")
@@ -210,17 +220,49 @@ def _apply_column_projection(state: SolverState, system, j: int, c: float):
         mat.add_col_to(rr, j, c)
         mat.gram_col_update(sc["residual_col"], j, -c)
         sc["stale_steps"] += 1
+    return c
 
 
-def _apply_x_refresh(state: SolverState, system, i: int, d: float):
-    """x += d * A^(i) only (z untouched), caches in sync."""
-    mat = system.mat
+def _apply_x_refresh(state: SolverState, mat, i: int, r: float) -> float:
+    """Zero row residual r: with d = r / ||A^(i)||^2, x += d * A^(i) only (z
+    untouched), residual caches in sync.  Returns d."""
+    d = r / mat.row_norms_sq[i]
     mat.add_row_to(state.x, i, d)
     sc = state.scratch
     rr = sc.get("residual_row")
     if rr is not None:
         mat.gram_row_update(rr, i, -d)
         sc["stale_steps"] += 1
+    return d
+
+
+def kaczmarz_row_project(x, i: int, rhs_i: float, mat: RowColMatrix) -> np.ndarray:
+    """Orthogonal projection of x onto the hyperplane A^(i) . x = rhs_i, as a
+    new vector: the engines' x refresh, run on a copy."""
+    mat._check_row(i)
+    x = as_vector(x, length=mat.n, name="x").copy()
+    _apply_x_refresh(SolverState(x, None, 0, None), mat, i, rhs_i - mat.row_dot(i, x))
+    return x
+
+
+def augmented_row_update(z, x, i: int, b, mat: RowColMatrix):
+    """Updated copies (z, x) after the engines' stacked-row projection on row
+    i; afterwards ``b_i - z_i - A^(i) x = 0`` up to rounding."""
+    mat._check_row(i)
+    z = as_vector(z, length=mat.m, name="z").copy()
+    x = as_vector(x, length=mat.n, name="x").copy()
+    b = as_vector(b, length=mat.m, name="b")
+    _apply_stacked_row(SolverState(x, z, 0, None), mat, i, b[i] - z[i] - mat.row_dot(i, x))
+    return z, x
+
+
+def column_z_update(z, j: int, mat: RowColMatrix) -> np.ndarray:
+    """z projected onto the orthogonal complement of column j, as a new vector
+    (``A_(j) . z = 0`` up to rounding): the engines' column projection."""
+    mat._check_col(j)
+    z = as_vector(z, length=mat.m, name="z").copy()
+    _apply_column_projection(SolverState(None, z, 0, None), mat, j, mat.col_dot(j, z))
+    return z
 
 
 def _fresh_row_residual(state: SolverState, system, i: int) -> float:
@@ -256,17 +298,14 @@ def _accelerated_branch(state: SolverState, system, t: int, value: float,
     """
     mat = system.mat
     if t < mat.m:
-        d = row_residual(t) / mat.aug_row_norms_sq[t]
-        _apply_stacked_row(state, system, t, d)
+        _apply_stacked_row(state, mat, t, row_residual(t))
         out = StepOutcome("row", row=t, value=value)
     else:
         j = t - mat.m
-        c = col_residual(j) / mat.col_norms_sq[j]
-        _apply_column_projection(state, system, j, c)
+        _apply_column_projection(state, mat, j, col_residual(j))
         i = weighted_row_sample(mat, state.rng)
         # read after the column projection: b_i - z_i - A^(i) x of the new z
-        d = row_residual(i) / mat.row_norms_sq[i]
-        _apply_x_refresh(state, system, i, d)
+        _apply_x_refresh(state, mat, i, row_residual(i))
         out = StepOutcome("col", row=i, col=j, value=value)
     state.k += 1
     return out
@@ -283,10 +322,8 @@ def rek_step(state: SolverState, system) -> StepOutcome:
     mat = system.mat
     i = weighted_row_sample(mat, state.rng)
     j = weighted_column_sample(mat, state.rng)
-    c = mat.col_dot(j, state.z) / mat.col_norms_sq[j]
-    _apply_column_projection(state, system, j, c)
-    d = _fresh_row_residual(state, system, i) / mat.row_norms_sq[i]
-    _apply_x_refresh(state, system, i, d)
+    _apply_column_projection(state, mat, j, mat.col_dot(j, state.z))
+    d = _apply_x_refresh(state, mat, i, _fresh_row_residual(state, system, i))
     state.k += 1
     return StepOutcome("col", row=i, col=j, value=abs(d))
 
@@ -341,15 +378,15 @@ def grak_step(state: SolverState, system) -> StepOutcome:
     except ZeroResidual:
         return StepOutcome("converged")
     if t < mat.m:
-        d = sel.residual_row[t] / mat.aug_row_norms_sq[t]
-        value = sel.residual_row[t] * sel.residual_row[t] / mat.aug_row_norms_sq[t]
-        _apply_stacked_row(state, system, t, d)
+        r = sel.residual_row[t]
+        value = r * r / mat.aug_row_norms_sq[t]
+        _apply_stacked_row(state, mat, t, r)
         out = StepOutcome("row", row=t, value=float(value))
     else:
         j = t - mat.m
-        c = sel.residual_col[j] / mat.col_norms_sq[j]
-        value = sel.residual_col[j] * sel.residual_col[j] / mat.col_norms_sq[j]
-        _apply_column_projection(state, system, j, c)
+        s = sel.residual_col[j]
+        value = s * s / mat.col_norms_sq[j]
+        _apply_column_projection(state, mat, j, s)
         out = StepOutcome("col", col=j, value=float(value))
     state.k += 1
     return out
@@ -529,6 +566,14 @@ class RunReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
+def _rse(x: np.ndarray, x_star) -> float | None:
+    """||x - x_star|| / ||x_star||, or None without a nonzero reference."""
+    if x_star is None:
+        return None
+    ref = float(np.linalg.norm(x_star))
+    return float(np.linalg.norm(x - x_star)) / ref if ref > 0 else None
+
+
 def _zres(state: SolverState, system) -> float:
     mat = system.mat
     denom = np.sqrt(mat.frob_sq) * np.linalg.norm(system.b)
@@ -576,11 +621,8 @@ def run(engine: str, system, rule: StoppingRule | None = None,
                 idx = out.row if out.kind == "row" else out.col
                 tracef.write(f"{state.k},{out.kind},{idx},{out.value:.6e}\n")
             if metrics_every and state.k % metrics_every == 0:
-                rse = None
-                if system.x_star is not None:
-                    rse = float(np.linalg.norm(state.x - system.x_star)
-                                / np.linalg.norm(system.x_star))
-                metrics.append((state.k, rse, _zres(state, system)))
+                metrics.append((state.k, _rse(state.x, system.x_star),
+                                _zres(state, system)))
             if monitor is not None and state.k % monitor.period == 0:
                 fired, value = monitor.observe(state.k, state, system)
                 if fired:
@@ -591,11 +633,6 @@ def run(engine: str, system, rule: StoppingRule | None = None,
         if tracef is not None:
             tracef.close()
 
-    final_rse = None
-    if system.x_star is not None:
-        ref = float(np.linalg.norm(system.x_star))
-        if ref > 0:
-            final_rse = float(np.linalg.norm(state.x - system.x_star)) / ref
     report = RunReport(
         engine=engine,
         provenance=system.provenance,
@@ -611,7 +648,7 @@ def run(engine: str, system, rule: StoppingRule | None = None,
         converged=bool(fired or exact),
         max_iters_hit=bool(not (fired or exact) and state.k >= max_iters),
         stop_value=stop_value,
-        final_rse=final_rse,
+        final_rse=_rse(state.x, system.x_star),
         branch_counts=counts,
         stop_trace=list(monitor.trace) if monitor is not None else [],
         metrics=metrics,

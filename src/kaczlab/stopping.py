@@ -48,9 +48,10 @@ DEFAULT_ORACLE_PERIOD = 400
 class StoppingRule:
     """Configuration record for one stopping rule.
 
-    ``window`` is the lag L of the windowed rule; ``check_period`` overrides
-    the evaluation cadence (defaults: L for ``lise``, every iteration for
-    ``aise``, ``8 * min(m, n)`` for ``rek-native``, 400 for the rest).
+    ``window`` is the lag L of the windowed rule, which is also its
+    evaluation cadence.  ``check_period`` overrides the cadence of the other
+    rules (defaults: every iteration for ``aise``, ``8 * min(m, n)`` for
+    ``rek-native``, 400 for the rest); ``lise`` rejects it.
     """
 
     kind: str
@@ -65,27 +66,43 @@ class StoppingRule:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
         if self.window < 1:
             raise ValueError(f"window length must be >= 1, got {self.window}")
+        if self.kind == "lise" and self.check_period is not None:
+            raise ValueError("the lise rule checks every window L; "
+                             "check_period does not apply to it")
 
 
 @dataclass
 class LiseWindow:
-    """One retained snapshot of the monitored iterate, L iterations old."""
+    """One retained snapshot of the monitored iterate, L iterations old; a
+    copy of the caller's array, which :func:`lise_check` never writes."""
 
     snapshot: np.ndarray
-    last_value: float | None = None
+
+    def __post_init__(self):
+        self.snapshot = np.array(self.snapshot, dtype=np.float64)
+
+
+def _lagged_distance_sq(parts, snaps, diffs) -> float:
+    """Sum of ||part - snap||^2 over the parts, then each snap := its part,
+    through scratch ``diffs``: the kernel of both lise_check and the monitor."""
+    total = 0.0
+    for part, snap, diff in zip(parts, snaps, diffs):
+        np.subtract(part, snap, out=diff)
+        total += float(diff @ diff)
+        np.copyto(snap, part)
+    return total
 
 
 def lise_check(window: LiseWindow, current: np.ndarray, k: int, L: int, tol: float):
     """Windowed lagged-iterate check at iteration k (a positive multiple of L).
 
     Returns ``(fired, value)`` with ``value = ||current - snapshot|| / L``;
-    fires on ``value < tol``.  The snapshot is replaced by ``current``.
+    fires on ``value < tol``.  The snapshot takes the values of ``current``.
     """
     if k <= 0 or k % L != 0:
         raise WindowNotReady(f"iteration {k} is not a positive multiple of L={L}")
-    value = float(np.linalg.norm(current - window.snapshot)) / L
-    window.snapshot = np.array(current, copy=True)
-    window.last_value = value
+    snap = window.snapshot
+    value = math.sqrt(_lagged_distance_sq((current,), (snap,), (np.empty_like(snap),))) / L
     return value < tol, value
 
 
@@ -183,7 +200,7 @@ class _Monitor:
 class _LiseMonitor(_Monitor):
     """Windowed monitor over x or the stacked [z; x] pair.
 
-    Equivalent to :func:`lise_check` on the stacked vector, but computed in
+    Runs the kernel of :func:`lise_check` on the parts in place, with
     preallocated buffers: the run loop is sensitive to megabyte-sized
     allocations every window.
     """
@@ -191,7 +208,7 @@ class _LiseMonitor(_Monitor):
     def __init__(self, rule, stacked: bool):
         super().__init__(rule)
         self.stacked = stacked
-        # the lag L *is* the cadence; a separate check period makes no sense here
+        # the lag L *is* the cadence; StoppingRule rejects a separate period
         self.period = rule.window
         self.snaps = None
         self.diffs = None
@@ -204,11 +221,7 @@ class _LiseMonitor(_Monitor):
         self.diffs = tuple(np.empty_like(p) for p in self.snaps)
 
     def observe(self, k, state, system):
-        total = 0.0
-        for part, snap, diff in zip(self._parts(state), self.snaps, self.diffs):
-            np.subtract(part, snap, out=diff)
-            total += float(diff @ diff)
-            np.copyto(snap, part)
+        total = _lagged_distance_sq(self._parts(state), self.snaps, self.diffs)
         value = math.sqrt(total) / self.period
         return self._record(k, value < self.rule.tol, value)
 

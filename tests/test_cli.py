@@ -71,6 +71,17 @@ def test_solve_flag_errors(capsys):
     assert code == 2
 
 
+def test_lise_rejects_check_period(capsys):
+    # lise checks every --window-L steps; a period it would ignore is an error
+    code, out, err = _run(capsys, "solve", "--gen", "gaussian:200x30", "--stop", "lise",
+                          "--check-period", "7")
+    assert code == 2
+    assert out == "" and "check_period" in err
+    code, out, _ = _run(capsys, "solve", "--help")
+    assert code == 0
+    assert "rek-native and grak-native rules (lise checks every L)" in " ".join(out.split())
+
+
 def test_bench_rejects_repeated_engine(capsys):
     # each engine gets one row; a repeat used to report its second set of
     # runs in both rows

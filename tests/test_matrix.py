@@ -61,7 +61,12 @@ def test_triplet_duplicates_summed():
 def test_dual_storage_identical(rng):
     mat, dense = random_sparse_matrix(rng, 17, 9)
     assert np.array_equal(mat.to_dense(), dense)
-    assert np.array_equal(mat.to_dense(), mat.to_dense_from_cols())
+    # rebuild the matrix from the column-oriented copy, one column at a time
+    for mat in (mat, build_matrix(dense)):
+        from_cols = np.zeros((mat.n, mat.m))
+        for j in range(mat.n):
+            mat.add_col_to(from_cols[j], j, 1.0)
+        assert np.array_equal(mat.to_dense(), from_cols.T)
 
 
 def test_norm_caches_match_recomputation(rng):

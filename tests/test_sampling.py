@@ -32,7 +32,7 @@ def test_distinct_streams_differ():
     a = RngStream(42, 0)
     b = RngStream(42, 1)
     assert [a.uniform() for _ in range(8)] != [b.uniform() for _ in range(8)]
-    assert RngStream(42).spawn(5).stream_id == 5
+    assert RngStream(42, 5).stream_id == 5
 
 
 def _chi_square_ok(observed, probs, alpha=0.001):
@@ -78,9 +78,9 @@ def test_degenerate_single_row_and_column():
 def test_subset_size_rules():
     rng = RngStream(11)
     s = simple_random_subset(600, 400, 0.01, rng)
-    assert len(s) == 10
+    assert s.indices.size == 10
     tiny = simple_random_subset(30, 20, 0.001, rng)
-    assert len(tiny) == 1
+    assert tiny.indices.size == 1
     full = simple_random_subset(4, 2, 1.0, rng)
     assert np.array_equal(full.indices, np.arange(6))
     with pytest.raises(InvalidRatio):
@@ -171,12 +171,15 @@ def test_first_distinct_without_composite_keys():
 @pytest.mark.parametrize("m,n,k", [(60000, 209, 602), (2000, 500, 25), (6, 3, 1),
                                    (4, 2, 3), (10, 6, 2), (6000, 2000, 1000), (3, 1, 4)])
 def test_subset_block_is_consecutive_single_draws(m, n, k):
-    # (6000, 2000, 1000) misses in one batch and replays from the saved stream
-    a, b = RngStream(21), RngStream(21)
+    # (6000, 2000, 1000) misses in one batch and replays from the saved stream;
+    # the sequential sampler is the reference both block sizes must match
+    a, b, c = RngStream(21), RngStream(21), RngStream(21)
     block = simple_random_subsets(m, n, k, 33, a)
     single = [simple_random_subset(m, n, k / (m + n), b).indices for _ in range(33)]
+    sequential = [_sample_without_replacement(m + n, k, c) for _ in range(33)]
     np.testing.assert_array_equal(block, np.stack(single))
-    assert a.uniform() == b.uniform()
+    np.testing.assert_array_equal(block, np.stack(sequential))
+    assert a.uniform() == b.uniform() == c.uniform()
 
 
 def _engine_subsets(m, n, k, blocks, seed):

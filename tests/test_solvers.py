@@ -1,4 +1,6 @@
 import copy
+import json
+import warnings
 
 import numpy as np
 import pytest
@@ -555,6 +557,23 @@ def test_run_reports_replayable():
     d1, d2 = r1.to_dict(), r2.to_dict()
     d1.pop("wall_time_s"), d2.pop("wall_time_s")
     assert d1 == d2
+
+
+def test_run_zero_reference_reports_no_rse():
+    # x* = 0 here, so the relative error is undefined at every checkpoint;
+    # rek keeps stepping at the solution, where the greedy engines stop
+    system = kl.LinearSystem(build_matrix([[1.0], [1.0]]), [1.0, -1.0],
+                             x_star=[0.0], z_star=[1.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run("rek", system, max_iters=6, seed=0, metrics_every=2)
+    assert report.final_rse is None
+    assert [(k, rse) for k, rse, _ in report.metrics] == [(2, None), (4, None), (6, None)]
+
+    def reject(name):
+        raise ValueError(f"invalid JSON constant {name}")
+
+    json.loads(report.to_json(), parse_constant=reject)
 
 
 def test_run_trace_streaming(tmp_path):

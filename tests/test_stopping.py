@@ -30,6 +30,9 @@ def test_rule_validation():
         StoppingRule("lise", 0.0)
     with pytest.raises(ValueError):
         StoppingRule("lise", 1e-4, window=0)
+    # the lag L is the windowed rule's cadence; a period would be ignored
+    with pytest.raises(ValueError, match="check_period"):
+        StoppingRule("lise", 1e-4, check_period=7)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +49,7 @@ def test_lise_constant_sequence_fires_immediately():
 def test_lise_geometric_sequence_value():
     rho, L = 0.99, 10
     v = np.array([1.0])
-    window = LiseWindow(snapshot=v.copy())
+    window = LiseWindow(snapshot=v)
     fired, value = lise_check(window, rho**L * v, k=L, L=L, tol=1e-4)
     assert value == pytest.approx((1 - rho**L) / L, rel=1e-12)
     assert value == pytest.approx(0.0095618, abs=1e-7)
@@ -54,6 +57,9 @@ def test_lise_geometric_sequence_value():
     # the snapshot advanced: the next window difference is (rho^L - rho^2L)
     fired, value = lise_check(window, rho ** (2 * L) * v, k=2 * L, L=L, tol=1e-4)
     assert value == pytest.approx((rho**L - rho ** (2 * L)) / L, rel=1e-12)
+    # the window advanced its own copy, never the caller's array
+    np.testing.assert_array_equal(v, [1.0])
+    np.testing.assert_array_equal(window.snapshot, rho ** (2 * L) * v)
 
 
 def test_lise_off_schedule_rejected():
