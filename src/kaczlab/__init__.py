@@ -67,6 +67,7 @@ from .stopping import (
     LiseWindow,
     StoppingRule,
     aise_check,
+    ase_check,
     grak_native_check,
     lise_check,
     rek_native_check,

@@ -54,6 +54,8 @@ REPORT_COLUMNS = ("engine", "m", "n", "nnz", "seed", "IT", "CPU_s", "RSE",
                   "SNR", "speedup_vs_grak")
 
 _CLI_STOP_KINDS = tuple(k for k in RULE_KINDS if k != "ase")
+# the kinds whose cadence --check-period sets; lise's cadence is its window
+_PERIOD_KINDS = [k for k in _CLI_STOP_KINDS if k != "lise"]
 
 
 def _fmt(value, spec="{:.10g}") -> str:
@@ -169,10 +171,21 @@ def _maybe_bounds(args, system):
     return compute_bounds(system.mat)
 
 
+def _engine_list(text: str) -> list[str]:
+    """The --engine names, each known and none repeated; ValueError otherwise."""
+    engines = text.split(",")
+    for engine in engines:
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")
+    if len(set(engines)) < len(engines):
+        # one row per engine: a repeat would report one set of runs twice
+        raise ValueError(f"engine named twice in {text!r}")
+    return engines
+
+
 def cmd_solve(args) -> int:
-    if "," in args.engine:
-        print("error: solve takes exactly one engine", file=sys.stderr)
-        return 2
+    if len(_engine_list(args.engine)) > 1:
+        raise ValueError("solve takes exactly one engine")
     system = _assemble_system(args)
     rule = _make_rule(args)
     report = run(args.engine, system, rule=rule, max_iters=args.max_iters,
@@ -183,15 +196,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    engines = args.engine.split(",")
-    for engine in engines:
-        if engine not in ENGINES:
-            print(f"error: unknown engine {engine!r}", file=sys.stderr)
-            return 2
-    if len(set(engines)) < len(engines):
-        # one row per engine: a repeat would report one set of runs twice
-        print(f"error: engine named twice in {args.engine!r}", file=sys.stderr)
-        return 2
+    engines = _engine_list(args.engine)
     system = _assemble_system(args)
     rule = _make_rule(args)
     all_runs: dict[str, list] = {}
@@ -229,6 +234,7 @@ def cmd_bench(args) -> int:
 def cmd_tomo(args) -> int:
     from .problems import snr as snr_score
 
+    engines = _engine_list(args.engine)
     spec = TomoSpec(size=args.N, angles=_parse_angles(args.angles), rays=args.p)
     mat, x_true = gen_paralleltomo(spec)
     b = build_inconsistent_rhs(mat, x_true, noise_seed=args.seed,
@@ -238,11 +244,6 @@ def cmd_tomo(args) -> int:
         mat, b, provenance=f"tomo:N{args.N}:p{args.p}:a{len(spec.angles)}:seed{args.seed}")
     if not args.no_reference:
         system = system.with_reference(args.oracle_tol)
-    engines = args.engine.split(",")
-    for engine in engines:
-        if engine not in ENGINES:
-            print(f"error: unknown engine {engine!r}", file=sys.stderr)
-            return 2
     if args.images:
         os.makedirs(args.images, exist_ok=True)
         write_pgm(os.path.join(args.images, "exact.pgm"),
@@ -293,8 +294,9 @@ def _add_run_flags(p: argparse.ArgumentParser, default_engine: str):
     p.add_argument("--window-L", type=int, default=400, dest="window_L",
                    help="lag L of the windowed stopping rule")
     p.add_argument("--check-period", type=int, default=None,
-                   help="override the evaluation cadence of the rse, ase, aise, rres, "
-                        "rek-native and grak-native rules (lise checks every L)")
+                   help="override the evaluation cadence of the "
+                        f"{', '.join(_PERIOD_KINDS[:-1])} and {_PERIOD_KINDS[-1]} rules "
+                        "(lise checks every L)")
     p.add_argument("--max-iters", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bounds", action="store_true",

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -31,14 +33,13 @@ __all__ = [
     "LiseWindow",
     "lise_check",
     "rse_check",
+    "ase_check",
     "aise_check",
     "rres_check",
     "rek_native_check",
     "grak_native_check",
     "make_monitor",
 ]
-
-RULE_KINDS = ("lise", "rse", "ase", "aise", "rres", "rek-native", "grak-native")
 
 DEFAULT_WINDOW = 400
 DEFAULT_ORACLE_PERIOD = 400
@@ -117,6 +118,14 @@ def rse_check(x, x_star, tol: float):
     return value <= tol, value
 
 
+def ase_check(x, x_star, tol: float):
+    """Absolute solution error ||x - x_star||; fires on <= tol."""
+    if x_star is None:
+        raise ReferenceUnavailable("absolute solution error needs x_star")
+    value = float(np.linalg.norm(x - x_star))
+    return value <= tol, value
+
+
 def aise_check(x_k, x_prev, b, tol: float):
     """Consecutive-iterate distance scaled by ||b||; fires on <= tol."""
     bnorm = float(np.linalg.norm(b))
@@ -178,141 +187,92 @@ def grak_native_check(x, z, x_star, z_star, b, tol: float):
 # ---------------------------------------------------------------------------
 
 
+def _oracle_cadence(rule, mat):
+    return DEFAULT_ORACLE_PERIOD
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How a monitor runs one rule kind.
+
+    ``check(monitor, state, system)`` returns ``(fired, value)`` through the
+    kind's public check, every ``cadence(rule, mat)`` steps unless
+    ``check_period`` overrides it.  A lagged kind's ``parts(state, stacked)``
+    are the arrays that its check compares with their snapshots, then copies
+    into them.
+    """
+
+    check: Callable
+    cadence: Callable = _oracle_cadence
+    parts: Callable | None = None
+
+
+def _lise(mon, state, system):
+    # in place over the parts, with buffers allocated at start: the run loop
+    # is sensitive to megabyte-sized allocations every window
+    total = _lagged_distance_sq(mon.parts(state), mon.snaps, mon.diffs)
+    value = math.sqrt(total) / mon.period
+    return value < mon.rule.tol, value
+
+
+def _aise(mon, state, system):
+    fired, value = aise_check(state.x, mon.snaps[0], system.b, mon.rule.tol)
+    np.copyto(mon.snaps[0], state.x)
+    return fired, value
+
+
+def _rek_native(mon, state, system):
+    fired, values = rek_native_check(state.x, state.z, system, mon.rule.tol)
+    return fired, max(values)
+
+
+_KINDS = {
+    "lise": _Kind(_lise, lambda rule, mat: rule.window,
+                  lambda state, stacked: (state.z, state.x) if stacked else (state.x,)),
+    "rse": _Kind(lambda mon, state, system: rse_check(state.x, system.x_star, mon.rule.tol)),
+    "ase": _Kind(lambda mon, state, system: ase_check(state.x, system.x_star, mon.rule.tol)),
+    "aise": _Kind(_aise, lambda rule, mat: 1, lambda state, stacked: (state.x,)),
+    "rres": _Kind(lambda mon, state, system: rres_check(state.x, system, mon.rule.tol)),
+    "rek-native": _Kind(_rek_native, lambda rule, mat: 8 * min(mat.m, mat.n)),
+    "grak-native": _Kind(lambda mon, state, system: grak_native_check(
+        state.x, state.z, system.x_star, system.z_star, system.b, mon.rule.tol)),
+}
+RULE_KINDS = tuple(_KINDS)
+
+
 class _Monitor:
     """Evaluation state of one rule inside one run; owns its trace."""
 
-    def __init__(self, rule: StoppingRule):
+    def __init__(self, rule: StoppingRule, check, period: int, parts):
         self.rule = rule
-        self.period = 1
+        self.period = period
         self.trace: list = []
+        self.parts = parts
+        self.snaps = None
+        self.diffs = None
+        self._check = check
 
-    def start(self, state, system):  # pragma: no cover - overridden
-        raise NotImplementedError
+    def start(self, state, system):
+        """Snapshot a lagged kind's parts, then run the check once, unrecorded,
+        so a rule that cannot be evaluated fails before the first step."""
+        if self.parts is not None:
+            self.snaps = tuple(p.copy() for p in self.parts(state))
+            self.diffs = tuple(np.empty_like(p) for p in self.snaps)
+        self._check(self, state, system)
 
-    def observe(self, k, state, system):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def _record(self, k, fired, value):
+    def observe(self, k, state, system):
+        fired, value = self._check(self, state, system)
         self.trace.append((k, value))
         return fired, value
 
 
-class _LiseMonitor(_Monitor):
-    """Windowed monitor over x or the stacked [z; x] pair.
-
-    Runs the kernel of :func:`lise_check` on the parts in place, with
-    preallocated buffers: the run loop is sensitive to megabyte-sized
-    allocations every window.
-    """
-
-    def __init__(self, rule, stacked: bool):
-        super().__init__(rule)
-        self.stacked = stacked
-        # the lag L *is* the cadence; StoppingRule rejects a separate period
-        self.period = rule.window
-        self.snaps = None
-        self.diffs = None
-
-    def _parts(self, state):
-        return (state.z, state.x) if self.stacked else (state.x,)
-
-    def start(self, state, system):
-        self.snaps = tuple(p.copy() for p in self._parts(state))
-        self.diffs = tuple(np.empty_like(p) for p in self.snaps)
-
-    def observe(self, k, state, system):
-        total = _lagged_distance_sq(self._parts(state), self.snaps, self.diffs)
-        value = math.sqrt(total) / self.period
-        return self._record(k, value < self.rule.tol, value)
-
-
-class _RseMonitor(_Monitor):
-    def __init__(self, rule, absolute=False):
-        super().__init__(rule)
-        self.period = rule.check_period or DEFAULT_ORACLE_PERIOD
-        self.absolute = absolute
-
-    def start(self, state, system):
-        if system.x_star is None:
-            raise ReferenceUnavailable("solution-error rules need x_star")
-        if not self.absolute and float(np.linalg.norm(system.x_star)) == 0.0:
-            raise ReferenceUnavailable("x_star is zero; relative error undefined")
-
-    def observe(self, k, state, system):
-        if self.absolute:
-            value = float(np.linalg.norm(state.x - system.x_star))
-            return self._record(k, value <= self.rule.tol, value)
-        fired, value = rse_check(state.x, system.x_star, self.rule.tol)
-        return self._record(k, fired, value)
-
-
-class _AiseMonitor(_Monitor):
-    def __init__(self, rule):
-        super().__init__(rule)
-        self.period = rule.check_period or 1
-        self.prev = None
-
-    def start(self, state, system):
-        self.prev = state.x.copy()
-
-    def observe(self, k, state, system):
-        fired, value = aise_check(state.x, self.prev, system.b, self.rule.tol)
-        np.copyto(self.prev, state.x)
-        return self._record(k, fired, value)
-
-
-class _RresMonitor(_Monitor):
-    def __init__(self, rule):
-        super().__init__(rule)
-        self.period = rule.check_period or DEFAULT_ORACLE_PERIOD
-
-    def start(self, state, system):
-        if float(np.linalg.norm(system.b)) == 0.0:
-            raise ValueError("b is zero; relative residual undefined")
-
-    def observe(self, k, state, system):
-        fired, value = rres_check(state.x, system, self.rule.tol)
-        return self._record(k, fired, value)
-
-
-class _RekNativeMonitor(_Monitor):
-    def start(self, state, system):
-        self.period = self.rule.check_period or 8 * min(system.mat.m, system.mat.n)
-
-    def observe(self, k, state, system):
-        fired, values = rek_native_check(state.x, state.z, system, self.rule.tol)
-        return self._record(k, fired, max(values))
-
-
-class _GrakNativeMonitor(_Monitor):
-    def __init__(self, rule):
-        super().__init__(rule)
-        self.period = rule.check_period or DEFAULT_ORACLE_PERIOD
-
-    def start(self, state, system):
-        if system.x_star is None or system.z_star is None:
-            raise ReferenceUnavailable("combined-error rule needs x_star and z_star")
-
-    def observe(self, k, state, system):
-        fired, value = grak_native_check(state.x, state.z, system.x_star,
-                                         system.z_star, system.b, self.rule.tol)
-        return self._record(k, fired, value)
-
-
 def make_monitor(rule: StoppingRule, system, engine: str) -> _Monitor:
-    """Instantiate the evaluation state for one (rule, system, engine) run."""
-    if rule.kind == "lise":
-        return _LiseMonitor(rule, stacked=engine != "rek")
-    if rule.kind == "rse":
-        return _RseMonitor(rule)
-    if rule.kind == "ase":
-        return _RseMonitor(rule, absolute=True)
-    if rule.kind == "aise":
-        return _AiseMonitor(rule)
-    if rule.kind == "rres":
-        return _RresMonitor(rule)
-    if rule.kind == "rek-native":
-        return _RekNativeMonitor(rule)
-    if rule.kind == "grak-native":
-        return _GrakNativeMonitor(rule)
-    raise ValueError(f"unknown stopping rule {rule.kind!r}")
+    """Instantiate the evaluation state for one (rule, system, engine) run.
+
+    The windowed rule monitors [z; x] for the stacked-system engines and x
+    alone for ``rek``.
+    """
+    kind = _KINDS[rule.kind]
+    parts = kind.parts and partial(kind.parts, stacked=engine != "rek")
+    period = rule.check_period or kind.cadence(rule, system.mat)
+    return _Monitor(rule, kind.check, period, parts)

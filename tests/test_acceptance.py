@@ -293,19 +293,23 @@ def test_criterion_07_sampling_distributions():
     checks.append(_chi_square_ok(counts, np.array([1 / 9, 4 / 9, 4 / 9])))
 
     subset_ok = True
-    for m, n in ((1, 1), (2, 1), (2, 2), (3, 2), (4, 2)):
+    cases = [(m, n, k) for m, n in ((1, 1), (2, 1), (2, 2), (3, 2), (4, 2))
+             for k in range(1, m + n)]
+    # k <= (m+n) // 8: the batched draw the sampled engine runs, which the
+    # small cases above never reach
+    cases.append((10, 6, 2))
+    for m, n, k in cases:
         total = m + n
-        for k in range(1, total):
-            combos = {frozenset(c): 0
-                      for c in itertools.combinations(range(total), k)}
-            reps = max(4000, 400 * len(combos))
-            for _ in range(reps):
-                s = kl.simple_random_subset(m, n, k / total, rng)
-                combos[frozenset(s.indices.tolist())] += 1
-            counts = np.array(list(combos.values()))
-            probs = np.full(len(combos), 1.0 / len(combos))
-            if len(combos) > 1 and not _chi_square_ok(counts, probs):
-                subset_ok = False
+        combos = {frozenset(c): 0
+                  for c in itertools.combinations(range(total), k)}
+        reps = max(4000, 400 * len(combos))
+        for _ in range(reps):
+            s = kl.simple_random_subset(m, n, k / total, rng)
+            combos[frozenset(s.indices.tolist())] += 1
+        counts = np.array(list(combos.values()))
+        probs = np.full(len(combos), 1.0 / len(combos))
+        if len(combos) > 1 and not _chi_square_ok(counts, probs):
+            subset_ok = False
     ok = all(checks) and subset_ok
     assert _verdict(7, "chi-square sampling distributions + exhaustive subsets",
                     ok, f"weighted checks {checks}, subsets {subset_ok}")

@@ -80,6 +80,29 @@ def test_lise_rejects_check_period(capsys):
     code, out, _ = _run(capsys, "solve", "--help")
     assert code == 0
     assert "rek-native and grak-native rules (lise checks every L)" in " ".join(out.split())
+    # the help names exactly the kinds --stop accepts, less lise
+    listed = " ".join(out.split()).split("cadence of the ")[1].split(" rules")[0]
+    assert listed.replace(" and ", ", ").split(", ") == ["rse", "aise", "rres", "rek-native",
+                                                          "grak-native"]
+    code, _, err = _run(capsys, "solve", "--gen", "gaussian:20x5", "--stop", "ase")
+    assert code == 2 and "invalid choice" in err
+
+
+def test_bad_engine_rejected_before_problem_is_built(capsys, monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("problem built before the engine list was checked")
+
+    monkeypatch.setattr("kaczlab.cli.gen_gaussian", built)
+    monkeypatch.setattr("kaczlab.cli.gen_paralleltomo", built)
+    tomo = ("tomo", "--N", "6", "--p", "9", "--engine")
+    for argv in (("solve", "--gen", "gaussian:20x5", "--engine", "bogus"),
+                 ("solve", "--gen", "gaussian:20x5", "--engine", "grak,rek"),
+                 ("bench", "--gen", "gaussian:20x5", "--engine", "grak,bogus"),
+                 ("bench", "--gen", "gaussian:20x5", "--engine", "grak,grak"),
+                 (*tomo, "bogus"), (*tomo, "grak,grak")):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: "), argv
 
 
 def test_bench_rejects_repeated_engine(capsys):

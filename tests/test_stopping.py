@@ -10,6 +10,7 @@ from kaczlab import (
     StoppingRule,
     WindowNotReady,
     aise_check,
+    ase_check,
     build_matrix,
     grak_native_check,
     lise_check,
@@ -133,6 +134,10 @@ def test_rse_values():
         rse_check(x_star, None, tol=1e-4)
     with pytest.raises(ReferenceUnavailable):
         rse_check(x_star, np.zeros(2), tol=1e-4)
+    fired, value = ase_check(2 * x_star, x_star, tol=5.0)
+    assert fired and value == 5.0
+    with pytest.raises(ReferenceUnavailable):
+        ase_check(x_star, None, tol=1e-4)
 
 
 def test_aise_values_and_sandwich(rng):
@@ -212,6 +217,7 @@ def test_monitor_periods():
     lise = make_monitor(StoppingRule("lise", 1e-4, window=32), system, "grak")
     assert lise.period == 32
     rek = make_monitor(StoppingRule("rek-native", 1e-4), system, "rek")
+    assert rek.period == 8 * 4  # set when built, not by start()
     rek.start(st, system)
     assert rek.period == 8 * 4
     aise = make_monitor(StoppingRule("aise", 1e-4), system, "grak")
@@ -227,6 +233,13 @@ def test_monitor_needs_reference():
         mon = make_monitor(StoppingRule(kind, 1e-4), system, "grak")
         with pytest.raises(ReferenceUnavailable):
             mon.start(st, system)
+    # a zero b leaves the residual rules undefined; start() says so, not
+    # the first evaluation
+    zero_b = kl.LinearSystem(system.mat, np.zeros(12))
+    for kind in ("rres", "aise"):
+        mon = make_monitor(StoppingRule(kind, 1e-4), zero_b, "grak")
+        with pytest.raises(ValueError, match="b is zero"):
+            mon.start(st, zero_b)
 
 
 def test_checks_do_not_mutate_state():

@@ -14,7 +14,8 @@ Trajectories: each engine runs ``STEPS`` steps from ``init_state`` for each
 seed in ``SEEDS`` on a dense 200x50, a sparse 3000x60 and an N=16
 tomography system; the hash covers every ``StepOutcome`` and the final
 ``(x, z)``.  On the two Gaussian systems, one ``lise`` run per engine adds
-its report, less the wall time.
+its report, less the wall time.  On the dense system, one run per other
+stopping rule kind adds its report the same way.
 """
 
 import os
@@ -39,6 +40,16 @@ STEPS = 2000
 SEEDS = (0, 1, 2)
 STEPPERS = {"rek": rek_step, "grak": grak_step, "agrak": agrak_step, "sampled": sampled_step}
 LISE = kl.StoppingRule("lise", tol=1e-4, window=200)
+# (engine, rule) per remaining kind; each tolerance lets the rule fire after
+# a few evaluations, and rres's sits just above the system's noise floor 0.4472
+RULES = (
+    ("grak", kl.StoppingRule("rse", tol=1e-3)),
+    ("agrak", kl.StoppingRule("ase", tol=1e-3)),
+    ("sampled", kl.StoppingRule("aise", tol=1e-8)),
+    ("grak", kl.StoppingRule("rres", tol=0.4473)),
+    ("rek", kl.StoppingRule("rek-native", tol=1e-5)),
+    ("grak", kl.StoppingRule("grak-native", tol=1e-6)),
+)
 
 
 def _planted_system(mat, seed):
@@ -72,8 +83,8 @@ def trajectory_hash(step, system, seed) -> str:
     return h.hexdigest()
 
 
-def report_hash(engine, system) -> str:
-    report = kl.run(engine, system, rule=LISE, max_iters=50_000, seed=7)
+def report_hash(engine, system, rule=LISE) -> str:
+    report = kl.run(engine, system, rule=rule, max_iters=50_000, seed=7)
     fields = report.to_dict()
     fields.pop("wall_time_s")
     h = hashlib.sha256(repr(sorted(fields.items())).encode())
@@ -110,6 +121,10 @@ def main():
                       f"{trajectory_hash(step, system, seed)}", flush=True)
             if with_lise:
                 print(f"lise {label} {engine} {report_hash(engine, system)}", flush=True)
+        if label == "dense-200x50":
+            for engine, rule in RULES:
+                print(f"{rule.kind} {label} {engine} {report_hash(engine, system, rule)}",
+                      flush=True)
 
 
 if __name__ == "__main__":
