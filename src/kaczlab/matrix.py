@@ -9,6 +9,17 @@ tables of weighted index sampling and, for sparse storage, the fixed-width
 tables of the batched dots.  Matrices with a zero row or zero column are
 rejected outright; the solvers divide by those norms.
 
+The Gram updates ``gram_row_update`` (out += c A A^(i)) and
+``gram_col_update`` (out += c A^T A_(j)) memoize one Gram row per index, so
+an index that comes back costs one axpy instead of a matrix-vector product
+(dense) or a scatter-add (sparse).  Each side has its own p x p table, p
+being the length of ``out`` (m for the row side, n for the column side),
+allocated on the side's first update and only when p^2 is at most
+``GRAM_MEMO_ENTRIES``; a larger side runs its kernel on every call.  The
+table is zero-filled memory, so only the rows actually filled are touched:
+at most 8 p^2 bytes per side.  Results do not depend on whether the memo is
+warm, and on dense storage they are bit-identical to the kernel's.
+
 Scalars are real float64 throughout.
 """
 
@@ -20,10 +31,15 @@ import scipy.sparse as sp
 from .errors import IndexOutOfRange, NonFiniteEntry, ZeroRowOrColumn
 
 __all__ = [
+    "GRAM_MEMO_ENTRIES",
     "RowColMatrix",
     "as_vector",
     "build_matrix",
 ]
+
+# largest p * p table of Gram rows one side of a matrix memoizes (8 bytes an
+# entry, so 128 MiB); a side whose table would be larger is never memoized
+GRAM_MEMO_ENTRIES = 1 << 24
 
 
 def as_vector(values, length: int | None = None, name: str = "vector") -> np.ndarray:
@@ -109,6 +125,9 @@ class RowColMatrix:
             self._col_pad = self._build_padding(self._cp, self._ci, self._cx, self.n)
             self._gather_row_segments = (
                 self._row_pad is None or 2 * self.nnz < self._row_pad[0].size)
+        # memoized Gram rows of the row side (A A^T) and the column side
+        # (A^T A), each a (table, filled) pair allocated on first use
+        self._gram_memo = [None, None]
 
     def _init_dense(self, dense: np.ndarray):
         self.is_sparse = False
@@ -305,6 +324,39 @@ class RowColMatrix:
             out += np.bincount(idx, weights=vals, minlength=out.shape[0])
 
     def gram_row_update(self, out: np.ndarray, i: int, c: float):
+        """out += c * (A @ A^(i)), from the memo of Gram rows where it fits."""
+        self._memoized_update(0, out, i, c, self._gram_row_kernel)
+
+    def gram_col_update(self, out: np.ndarray, j: int, c: float):
+        """out += c * (A^T @ A_(j)), from the memo of Gram rows where it fits."""
+        self._memoized_update(1, out, j, c, self._gram_col_kernel)
+
+    def _memoized_update(self, side: int, out: np.ndarray, k: int, c: float, kernel):
+        """out += c * G[k] for the Gram matrix G of one side, G[k] memoized.
+
+        A side whose p x p table (p = len(out)) would exceed
+        ``GRAM_MEMO_ENTRIES`` entries runs ``kernel`` on every call.  A miss
+        runs it once with c = 1.0 into a zeroed table row, which holds the
+        kernel's product exactly; every call then adds c times that row, so
+        results do not depend on whether the memo is warm.
+        """
+        memo = self._gram_memo[side]
+        if memo is None:
+            p = out.shape[0]
+            if p * p > GRAM_MEMO_ENTRIES:
+                kernel(out, k, c)
+                return
+            # zeroed pages are mapped on first write: rows never filled cost
+            # no memory
+            memo = self._gram_memo[side] = (np.zeros((p, p)), np.zeros(p, dtype=bool))
+        table, filled = memo
+        row = table[k]
+        if not filled[k]:
+            kernel(row, k, 1.0)
+            filled[k] = True
+        out += c * row
+
+    def _gram_row_kernel(self, out: np.ndarray, i: int, c: float):
         """out += c * (A @ A^(i)); touches only columns where row i is nonzero."""
         if not self.is_sparse:
             out += c * (self._rows @ self._rows[i])
@@ -324,7 +376,7 @@ class RowColMatrix:
         contrib = np.repeat(weights, counts) * self._cx[flat]
         self._scatter_add(out, self._ci[flat], contrib)
 
-    def gram_col_update(self, out: np.ndarray, j: int, c: float):
+    def _gram_col_kernel(self, out: np.ndarray, j: int, c: float):
         """out += c * (A^T @ A_(j)); touches only rows where column j is nonzero."""
         if not self.is_sparse:
             out += c * (self._cols[:, j] @ self._rows)

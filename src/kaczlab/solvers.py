@@ -25,10 +25,12 @@ entries come from.
 
 ``grak`` and ``agrak`` need the full residuals b - z - A x and A^T z each
 step.  Those are cached in ``state.scratch``, updated incrementally by the
-projection helpers (one row or column of the Gram products), and recomputed
-every ``RESIDUAL_REFRESH`` steps to cap drift or when ``state.x`` or
-``state.z`` is not the array they were computed from.  ``sampled`` and
-``rek`` deliberately never form full residuals; that is their point.
+projection helpers (one row or column of the Gram products, which the
+matrix memoizes per index where its side fits ``GRAM_MEMO_ENTRIES``), and
+recomputed every ``RESIDUAL_REFRESH`` steps to cap drift or when
+``state.x`` or ``state.z`` is not the array they were computed from.
+``sampled`` and ``rek`` deliberately never form full residuals, so they
+never fill the memo; that is their point.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ for ``rek`` it is x alone.
 The remaining kinds exist for comparison studies: ``rse``/``ase`` need the
 reference solution, ``rres`` needs a full residual (and plateaus at the
 noise floor on inconsistent systems), ``aise`` compares consecutive
-iterates, ``rek-native`` evaluates the extended method's two normalized
+iterates, over the same parts as ``lise`` (a greedy column step moves z
+only), ``rek-native`` evaluates the extended method's two normalized
 residuals every ``8 * min(m, n)`` steps, and ``grak-native`` is the
 reference-based combined-error test whose large denominator makes it fire
 early on big systems.
@@ -126,13 +127,24 @@ def ase_check(x, x_star, tol: float):
     return value <= tol, value
 
 
-def aise_check(x_k, x_prev, b, tol: float):
-    """Consecutive-iterate distance scaled by ||b||; fires on <= tol."""
+def _aise_value(distance_sq: float, b, tol: float):
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         raise ValueError("b is zero; adjacent-iterate error undefined")
-    value = float(np.linalg.norm(x_k - x_prev)) / bnorm
+    value = math.sqrt(distance_sq) / bnorm
     return value <= tol, value
+
+
+def aise_check(x_k, x_prev, b, tol: float):
+    """Consecutive-iterate distance ``||x_k - x_prev|| / ||b||``; fires on <= tol.
+
+    Inside ``run()`` the iterate is [z; x] for the stacked-system engines
+    and x for ``rek``, the parts the windowed rule compares.  ``x_prev`` is
+    left unchanged.
+    """
+    x_k = np.asarray(x_k, dtype=np.float64)
+    snap = np.array(x_prev, dtype=np.float64)
+    return _aise_value(_lagged_distance_sq((x_k,), (snap,), (np.empty_like(snap),)), b, tol)
 
 
 def rres_check(x, system, tol: float):
@@ -216,9 +228,8 @@ def _lise(mon, state, system):
 
 
 def _aise(mon, state, system):
-    fired, value = aise_check(state.x, mon.snaps[0], system.b, mon.rule.tol)
-    np.copyto(mon.snaps[0], state.x)
-    return fired, value
+    return _aise_value(_lagged_distance_sq(mon.parts(state), mon.snaps, mon.diffs),
+                       system.b, mon.rule.tol)
 
 
 def _rek_native(mon, state, system):
@@ -226,12 +237,15 @@ def _rek_native(mon, state, system):
     return fired, max(values)
 
 
+def _lagged_parts(state, stacked):
+    return (state.z, state.x) if stacked else (state.x,)
+
+
 _KINDS = {
-    "lise": _Kind(_lise, lambda rule, mat: rule.window,
-                  lambda state, stacked: (state.z, state.x) if stacked else (state.x,)),
+    "lise": _Kind(_lise, lambda rule, mat: rule.window, _lagged_parts),
     "rse": _Kind(lambda mon, state, system: rse_check(state.x, system.x_star, mon.rule.tol)),
     "ase": _Kind(lambda mon, state, system: ase_check(state.x, system.x_star, mon.rule.tol)),
-    "aise": _Kind(_aise, lambda rule, mat: 1, lambda state, stacked: (state.x,)),
+    "aise": _Kind(_aise, lambda rule, mat: 1, _lagged_parts),
     "rres": _Kind(lambda mon, state, system: rres_check(state.x, system, mon.rule.tol)),
     "rek-native": _Kind(_rek_native, lambda rule, mat: 8 * min(mat.m, mat.n)),
     "grak-native": _Kind(lambda mon, state, system: grak_native_check(

@@ -59,6 +59,18 @@ def test_solve_deterministic_minus_walltime(capsys):
     assert r1 == r2
 
 
+def test_aise_sees_column_steps(capsys):
+    # a greedy column step moves only z; aise compared x alone, read 0 there
+    # and stopped grak after one step with RSE 1.0
+    code, out, _ = _run(capsys, "solve", "--gen", "gaussian:200x30", "--engine", "grak",
+                        "--stop", "aise", "--tol", "1e-7", "--seed", "3", "--format", "json")
+    assert code == 0
+    run = json.loads(out)["runs"][0]
+    assert run["converged"] and run["stop_value"] > 0.0
+    assert run["iterations"] > 1000
+    assert run["final_rse"] < 1e-4
+
+
 def test_solve_flag_errors(capsys):
     code, _, err = _run(capsys, "solve", "--gen", "gaussian:10x5",
                         "--engine", "rek,grak")

@@ -12,7 +12,7 @@ from kaczlab import (
     kaczmarz_row_project,
 )
 
-from conftest import random_sparse_matrix
+from conftest import make_gaussian_system, random_sparse_matrix
 
 
 def test_dense_construction_norms():
@@ -130,6 +130,95 @@ def test_gram_updates_match_dense(rng):
         expected_n = out_n - 1.3 * (dense.T @ dense[:, 2])
         mat.gram_col_update(out_n, 2, -1.3)
         np.testing.assert_allclose(out_n, expected_n, rtol=1e-12, atol=1e-12)
+
+
+def _gram_sides(mat):
+    """(update, kernel, memo side, out length, index) of each Gram update."""
+    return ((mat.gram_row_update, mat._gram_row_kernel, 0, mat.m, 4),
+            (mat.gram_col_update, mat._gram_col_kernel, 1, mat.n, 2))
+
+
+def test_gram_memo_dense_miss_and_hit_bit_identical(rng):
+    # a memoized row is the kernel's product, so dense iterates are exactly
+    # those of the unmemoized kernel, cold or warm
+    mat = build_matrix(rng.standard_normal((13, 6)))
+    for update, kernel, side, p, k in _gram_sides(mat):
+        assert mat._gram_memo[side] is None
+        for c in (0.7, -1.3):  # a miss, then a hit on the same index
+            out = rng.standard_normal(p)
+            expected = out.copy()
+            kernel(expected, k, c)
+            update(out, k, c)
+            np.testing.assert_array_equal(out, expected)
+        table, filled = mat._gram_memo[side]
+        assert table.shape == (p, p)
+        assert np.flatnonzero(filled).tolist() == [k]
+
+
+def test_gram_memo_sparse_padded_and_segmented(rng):
+    for segmented in (False, True):
+        mat, dense = random_sparse_matrix(rng, 13, 6)
+        if segmented:
+            mat._row_pad = mat._col_pad = None
+        gram = {0: dense @ dense.T, 1: dense.T @ dense}
+        for update, _, side, p, k in _gram_sides(mat):
+            for c in (0.7, -1.3):
+                out = rng.standard_normal(p)
+                expected = out + c * gram[side][k]
+                update(out, k, c)
+                np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+            assert mat._gram_memo[side][1][k]
+
+
+def test_gram_memo_respects_size_cap(rng, monkeypatch):
+    dense = rng.standard_normal((13, 6))
+    mat = build_matrix(dense)
+    monkeypatch.setattr(kl.matrix, "GRAM_MEMO_ENTRIES", 6 * 6 - 1)
+    calls = []
+    for update, kernel, side, p, k in _gram_sides(mat):
+        setattr(mat, kernel.__name__, lambda out, k, c, kernel=kernel:
+                calls.append(k) or kernel(out, k, c))
+        for _ in range(2):
+            out = rng.standard_normal(p)
+            expected = out.copy()
+            kernel(expected, k, 0.7)
+            update(out, k, 0.7)
+            np.testing.assert_array_equal(out, expected)
+        assert mat._gram_memo[side] is None
+    assert calls == [4, 4, 2, 2]
+
+
+def test_gram_memo_untouched_by_rek_and_sampled():
+    system = make_gaussian_system(60, 12, seed=23)
+    for engine in ("rek", "sampled"):
+        kl.run(engine, system, max_iters=500, seed=1)
+    assert system.mat._gram_memo == [None, None]
+    kl.run("agrak", system, max_iters=500, seed=1)
+    assert all(memo is not None for memo in system.mat._gram_memo)
+
+
+def _sparse_system(seed):
+    mat = kl.gen_sparse_gaussian(300, 20, 0.2, seed=seed)
+    x = kl.RngStream(seed, 3).standard_normal(20)
+    b = kl.build_inconsistent_rhs(mat, x, noise_seed=seed, noise_scale=0.5)
+    return kl.LinearSystem(mat, b, *kl.reference_solution(mat, b))
+
+
+def test_run_reports_do_not_depend_on_a_warm_memo():
+    rule = kl.StoppingRule("lise", tol=1e-4, window=50)
+    for build in (lambda: make_gaussian_system(60, 12, seed=24), lambda: _sparse_system(25)):
+        fresh, warmed = build(), build()
+        kl.run("agrak", warmed, rule=rule, max_iters=20_000, seed=9)
+        assert all(memo is not None for memo in warmed.mat._gram_memo)
+        for engine in ("grak", "agrak"):
+            reports = [kl.run(engine, system, rule=rule, max_iters=20_000, seed=2)
+                       for system in (fresh, warmed)]
+            dicts = [r.to_dict() for r in reports]
+            for d in dicts:
+                d.pop("wall_time_s")
+            assert dicts[0] == dicts[1], engine
+            np.testing.assert_array_equal(reports[0].final_state.x, reports[1].final_state.x)
+            np.testing.assert_array_equal(reports[0].final_state.z, reports[1].final_state.z)
 
 
 def test_kaczmarz_row_project_examples():

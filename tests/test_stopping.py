@@ -18,7 +18,7 @@ from kaczlab import (
     rres_check,
     rse_check,
 )
-from kaczlab.solvers import init_state, agrak_step, run
+from kaczlab.solvers import init_state, agrak_step, rek_step, run
 from kaczlab.stopping import make_monitor
 
 from conftest import make_gaussian_system
@@ -281,6 +281,28 @@ def test_lise_monitor_matches_public_check():
                                       k=5 * step, L=5, tol=1e-4)
         assert fired_m == fired_w
         assert value_m == pytest.approx(value_w, rel=1e-12)
+
+
+def test_aise_monitor_matches_public_check():
+    # the monitor compares the parts lise compares: [z; x] for the stacked
+    # engines, x for rek
+    system = make_gaussian_system(12, 4, seed=26)
+    for engine, stacked in (("grak", True), ("rek", False)):
+        mon = make_monitor(StoppingRule("aise", 1e-9), system, engine)
+        st = init_state(system, seed=4)
+        mon.start(st, system)
+
+        def iterate():
+            return np.concatenate([st.z, st.x]) if stacked else st.x.copy()
+
+        for step in range(1, 30):
+            prev = iterate()
+            (agrak_step if stacked else rek_step)(st, system)
+            fired_m, value_m = mon.observe(step, st, system)
+            fired_c, value_c = aise_check(iterate(), prev, system.b, tol=1e-9)
+            assert fired_m == fired_c
+            assert value_m == pytest.approx(value_c, rel=1e-12)
+            assert value_m > 0.0 or not stacked
 
 
 def test_run_stops_on_each_rule_kind():

@@ -5,17 +5,26 @@
 Run from any directory; kaczlab is imported from this checkout's ``src/`` and
 the benchmark problems are built by ``benchmarks/workloads.py``.  BLAS is
 pinned to one thread in this process's environment before numpy loads, so
-the fingerprints do not depend on the thread count.  Each output line is
-``<label> <sha256>``.  Two checkouts print the same line exactly when that
-engine took the same steps to the same final iterate, or when that problem
-has the same matrix and right-hand side, bit for bit.
+the fingerprints do not depend on the thread count.
+
+A problem line is ``problem <workload> <sha256>``; two checkouts print the
+same line exactly when that problem has the same matrix and right-hand side,
+bit for bit.  Every other line ends in two hashes, ``<picks> <state>``:
+
+* ``picks`` covers the selection only: the kind, row and column of every
+  ``StepOutcome``, or for a report its iteration count, convergence flags,
+  branch counts and the steps at which its rule was evaluated;
+* ``state`` covers the final ``(x, z)`` bit for bit and, for a report, every
+  field but the wall time.
+
+So a change that only rounds differently keeps ``picks`` and moves
+``state``, and a change that alters the selection moves both.
 
 Trajectories: each engine runs ``STEPS`` steps from ``init_state`` for each
 seed in ``SEEDS`` on a dense 200x50, a sparse 3000x60 and an N=16
-tomography system; the hash covers every ``StepOutcome`` and the final
-``(x, z)``.  On the two Gaussian systems, one ``lise`` run per engine adds
-its report, less the wall time.  On the dense system, one run per other
-stopping rule kind adds its report the same way.
+tomography system.  On the two Gaussian systems, one ``lise`` run per
+engine adds its report.  On the dense system, one run per other stopping
+rule kind adds its report the same way.
 """
 
 import os
@@ -70,27 +79,34 @@ def systems():
     yield "tomo-N16", kl.LinearSystem(mat, b, x_star=phantom), False
 
 
+def _state_hash(state, fields=""):
+    h = hashlib.sha256(fields.encode())
+    h.update(state.x.tobytes())
+    h.update(state.z.tobytes())
+    return h
+
+
 def trajectory_hash(step, system, seed) -> str:
-    h = hashlib.sha256()
+    """``<picks> <state>`` of ``STEPS`` steps from ``init_state``."""
+    picks = hashlib.sha256()
     state = kl.init_state(system, seed)
     for _ in range(STEPS):
         out = step(state, system)
-        h.update(f"{out.kind},{out.row},{out.col},{float(out.value).hex()};".encode())
+        picks.update(f"{out.kind},{out.row},{out.col};".encode())
         if out.converged:
             break
-    h.update(state.x.tobytes())
-    h.update(state.z.tobytes())
-    return h.hexdigest()
+    return f"{picks.hexdigest()} {_state_hash(state).hexdigest()}"
 
 
 def report_hash(engine, system, rule=LISE) -> str:
+    """``<picks> <state>`` of one ``run()``."""
     report = kl.run(engine, system, rule=rule, max_iters=50_000, seed=7)
     fields = report.to_dict()
     fields.pop("wall_time_s")
-    h = hashlib.sha256(repr(sorted(fields.items())).encode())
-    h.update(report.final_state.x.tobytes())
-    h.update(report.final_state.z.tobytes())
-    return h.hexdigest()
+    picks = (fields["iterations"], fields["converged"], fields["max_iters_hit"],
+             sorted(fields["branch_counts"].items()), [k for k, _ in fields["stop_trace"]])
+    state = _state_hash(report.final_state, repr(sorted(fields.items())))
+    return f"{hashlib.sha256(repr(picks).encode()).hexdigest()} {state.hexdigest()}"
 
 
 def problem_hash(system) -> str:
