@@ -1,24 +1,30 @@
 """Dual-access matrix storage and its elementary products and updates.
 
-Every solver in this package touches individual rows A^(i) and columns A_(j)
-inside its hot loop, so the matrix is stored twice: dense inputs keep
-row-major and column-major mirrors, sparse inputs keep CSR and CSC forms of
-the same values.  Squared row norms, squared column norms and the squared
-Frobenius norm are cached at construction, together with the cumulative norm
-tables of weighted index sampling and, for sparse storage, the fixed-width
-tables of the batched dots.  Matrices with a zero row or zero column are
-rejected outright; the solvers divide by those norms.
+Every solver in this package is a row-action method on the stacked system
+[[I, A], [A^T, 0]]: a row step reads a row A^(i) of A, and a column step
+reads a column A_(j), which is a row of A^T.  So the matrix keeps two line
+stores of the same values, one holding the rows of A and one the rows of
+A^T, and each elementary operation (single and batched dots, scaled adds,
+Gram updates, index checks) is written once on the store; ``row_*`` and
+``col_*`` methods run it on one store or the other.  A dense store holds a
+row-major block: A itself, or the transpose of a column-major copy of A.  A
+sparse store holds the CSR arrays of its operand: A's CSR form, or A's CSC
+form, which is the CSR form of A^T.  Each store caches its squared line norms
+and their cumulative table for weighted index sampling and, when sparse, a
+fixed-width table of its lines for the batched dots.  Matrices with a zero
+row or zero column are rejected outright; the solvers divide by those norms.
 
 The Gram updates ``gram_row_update`` (out += c A A^(i)) and
 ``gram_col_update`` (out += c A^T A_(j)) memoize one Gram row per index, so
 an index that comes back costs one axpy instead of a matrix-vector product
-(dense) or a scatter-add (sparse).  Each side has its own p x p table, p
-being the length of ``out`` (m for the row side, n for the column side),
-allocated on the side's first update and only when p^2 is at most
-``GRAM_MEMO_ENTRIES``; a larger side runs its kernel on every call.  The
-table is zero-filled memory, so only the rows actually filled are touched:
-at most 8 p^2 bytes per side.  Results do not depend on whether the memo is
-warm, and on dense storage they are bit-identical to the kernel's.
+(dense) or a scatter-add through the other store's lines (sparse).  Each
+store has its own p x p table, p being the length of ``out`` (m for the row
+side, n for the column side), allocated on the store's first update and only
+when p^2 is at most ``GRAM_MEMO_ENTRIES``; a larger side runs its kernel on
+every call.  The table is zero-filled memory, so only the rows actually
+filled are touched: at most 8 p^2 bytes per side.  Results do not depend on
+whether the memo is warm, and on dense storage they are bit-identical to
+the kernel's.
 
 Scalars are real float64 throughout.
 """
@@ -66,6 +72,161 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.cumsum(out)
 
 
+def _segment_sums(values: np.ndarray, indptr: np.ndarray, count: int) -> np.ndarray:
+    out = np.zeros(count)
+    nonempty = np.diff(indptr) > 0
+    if values.size:
+        out[nonempty] = np.add.reduceat(values, indptr[:-1][nonempty])
+    return out
+
+
+def _scatter_add(out: np.ndarray, idx: np.ndarray, vals: np.ndarray):
+    # overlapping targets need an accumulating scatter; bincount beats
+    # add.at only once the update is large
+    if idx.size < 4096:
+        np.add.at(out, idx, vals)
+    else:
+        out += np.bincount(idx, weights=vals, minlength=out.shape[0])
+
+
+class _Lines:
+    """The rows of one operand of the stacked system: A or A^T.
+
+    ``lines`` is a row-major ndarray, or a scipy matrix in CSR form whose
+    ``indptr``/``indices``/``data`` the store keeps; ``op`` is the operand
+    for whole products and dense Gram rows; ``norms_sq`` gives a dense
+    operand's squared line norms.  ``finish`` builds the lookup tables once
+    the matrix has passed its zero-line check.  The Gram methods take the
+    other store, whose lines a sparse Gram row is scattered from.
+    """
+
+    def __init__(self, kind: str, lines, op, norms_sq=None):
+        self.kind = kind
+        self.count = lines.shape[0]
+        self.op = op
+        if sp.issparse(lines):
+            self.block = None
+            self.indptr, self.indices, self.data = lines.indptr, lines.indices, lines.data
+            norms_sq = _segment_sums(self.data**2, self.indptr, self.count)
+        else:
+            self.block = lines
+        norms_sq.flags.writeable = False
+        self.norms_sq = norms_sq
+        # memoized Gram rows: a (table, filled) pair allocated on first use
+        self.memo = None
+
+    def finish(self):
+        self.cum = np.cumsum(self.norms_sq)
+        # padded (index, value) table of the batched dots; None selects the
+        # segmented path
+        self.pad = None if self.block is not None else self._build_padding()
+        # whether a batch of lines is cheaper to read as CSR segments: on a
+        # padded table under half full, most of a padded gather reads padding
+        self.gathers_segments = self.block is None and (
+            self.pad is None or 2 * self.indices.size < self.pad[0].size)
+
+    def _build_padding(self):
+        """Fixed-width (index, value) table for loop-free batched dots.
+
+        Padded gathers beat the segmented path on every matrix measured, so
+        both stay: this returns None only when padding would blow memory up
+        (one long line in an otherwise short-line matrix), and the segmented
+        path serves the store.
+        """
+        counts = np.diff(self.indptr)
+        width = int(counts.max())
+        if self.count * width > 16 * self.indices.size + (1 << 22):
+            return None
+        pad_idx = np.zeros((self.count, width), dtype=np.int32)
+        pad_val = np.zeros((self.count, width), dtype=np.float64)
+        flat = _concat_ranges(self.indptr[:-1], counts)
+        lane = np.arange(len(flat)) - np.repeat(self.indptr[:-1], counts)
+        line = np.repeat(np.arange(self.count), counts)
+        pad_idx[line, lane] = self.indices[flat]
+        pad_val[line, lane] = self.data[flat]
+        return pad_idx, pad_val
+
+    def check(self, k: int):
+        if not 0 <= k < self.count:
+            raise IndexOutOfRange(f"{self.kind} index {k} outside [0, {self.count})")
+
+    def dot(self, k: int, v: np.ndarray) -> float:
+        if self.block is not None:
+            return float(self.block[k] @ v)
+        s, e = self.indptr[k], self.indptr[k + 1]
+        return float(self.data[s:e] @ v[self.indices[s:e]])
+
+    def segments(self, ids: np.ndarray):
+        """Values and indices of lines ``ids``, concatenated, and the offsets
+        of each line's segment (line r at ``offsets[r]:offsets[r + 1]``)."""
+        starts = self.indptr[ids]
+        counts = self.indptr[ids + 1] - starts
+        flat = _concat_ranges(starts, counts)
+        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return self.data[flat], self.indices[flat], offsets
+
+    def dots(self, ids: np.ndarray, v: np.ndarray) -> np.ndarray:
+        if self.block is not None:
+            return self.block[ids] @ v
+        if self.pad is not None:
+            idx, val = self.pad
+            return np.einsum("ij,ij->i", val[ids], v[idx[ids]])
+        vals, idx, offsets = self.segments(ids)
+        if not vals.size:
+            return np.zeros(len(ids))
+        return np.add.reduceat(vals * v[idx], offsets[:-1])
+
+    def add_to(self, out: np.ndarray, k: int, c: float):
+        if self.block is not None:
+            out += c * self.block[k]
+            return
+        s, e = self.indptr[k], self.indptr[k + 1]
+        out[self.indices[s:e]] += c * self.data[s:e]
+
+    def gram_update(self, other: _Lines, out: np.ndarray, k: int, c: float):
+        """out += c * G[k] for this store's Gram matrix G, G[k] memoized.
+
+        A store whose p x p table (p = len(out)) would exceed
+        ``GRAM_MEMO_ENTRIES`` entries runs ``gram_kernel`` on every call.  A
+        miss runs it once with c = 1.0 into a zeroed table row, which holds
+        the kernel's product exactly; every call then adds c times that row,
+        so results do not depend on whether the memo is warm.
+        """
+        memo = self.memo
+        if memo is None:
+            p = out.shape[0]
+            if p * p > GRAM_MEMO_ENTRIES:
+                self.gram_kernel(other, out, k, c)
+                return
+            # zeroed pages are mapped on first write: rows never filled cost
+            # no memory
+            memo = self.memo = (np.zeros((p, p)), np.zeros(p, dtype=bool))
+        table, filled = memo
+        row = table[k]
+        if not filled[k]:
+            self.gram_kernel(other, row, k, 1.0)
+            filled[k] = True
+        out += c * row
+
+    def gram_kernel(self, other: _Lines, out: np.ndarray, k: int, c: float):
+        """out += c * (op @ line k); touches only the lines of ``other`` where
+        line k is nonzero."""
+        if self.block is not None:
+            out += c * (self.op @ self.block[k])
+            return
+        s, e = self.indptr[k], self.indptr[k + 1]
+        hit = self.indices[s:e]
+        weights = c * self.data[s:e]
+        if other.pad is not None:
+            idx, val = other.pad
+            contrib = weights[:, None] * val[hit]
+            _scatter_add(out, idx[hit].ravel(), contrib.ravel())
+            return
+        vals, idx, offsets = other.segments(hit)
+        _scatter_add(out, idx, np.repeat(weights, np.diff(offsets)) * vals)
+
+
 class RowColMatrix:
     """Immutable real matrix with O(1)-indexable rows *and* columns.
 
@@ -82,7 +243,7 @@ class RowColMatrix:
     frob_sq : float
         Cached squared Frobenius norm.
     is_sparse : bool
-        Whether the dual storage is CSR+CSC (True) or C-order+F-order (False).
+        Whether the line stores hold CSR arrays (True) or dense blocks (False).
     """
 
     def __init__(self, data, shape=None):
@@ -104,44 +265,27 @@ class RowColMatrix:
             if not np.all(np.isfinite(dense)):
                 raise NonFiniteEntry("matrix entries contain NaN or Inf")
             self._init_dense(dense)
+        self.row_norms_sq = self._row_lines.norms_sq
+        self.col_norms_sq = self._col_lines.norms_sq
+        self.frob_sq = float(self.row_norms_sq.sum())
         self._check_no_zero_lines()
-        self.row_norms_sq.flags.writeable = False
-        self.col_norms_sq.flags.writeable = False
+        self._row_lines.finish()
+        self._col_lines.finish()
         # denominators of the stacked-row criterion, shared by all solvers
         self.aug_row_norms_sq = 1.0 + self.row_norms_sq
         self.aug_row_norms_sq.flags.writeable = False
         self.inv_aug_row_norms_sq = 1.0 / self.aug_row_norms_sq
         self.inv_aug_row_norms_sq.flags.writeable = False
-        self._row_cum = np.cumsum(self.row_norms_sq)
-        self._col_cum = np.cumsum(self.col_norms_sq)
-        # padded (index, value) tables of the batched dots; None selects the
-        # segmented path
-        self._row_pad = self._col_pad = None
-        # whether row_segments serves batches of rows: on a padded row table
-        # under half full, most of a padded gather would read padding
-        self._gather_row_segments = False
-        if self.is_sparse:
-            self._row_pad = self._build_padding(self._rp, self._ri, self._rx, self.m)
-            self._col_pad = self._build_padding(self._cp, self._ci, self._cx, self.n)
-            self._gather_row_segments = (
-                self._row_pad is None or 2 * self.nnz < self._row_pad[0].size)
-        # memoized Gram rows of the row side (A A^T) and the column side
-        # (A^T A), each a (table, filled) pair allocated on first use
-        self._gram_memo = [None, None]
 
     def _init_dense(self, dense: np.ndarray):
         self.is_sparse = False
         self.m, self.n = dense.shape
-        self._rows = dense
-        self._cols = np.asfortranarray(dense)
-        self._rows.flags.writeable = False
         self.nnz = self.m * self.n
-        self.row_norms_sq = np.einsum("ij,ij->i", dense, dense)
-        self.col_norms_sq = np.einsum("ij,ij->j", dense, dense)
-        self.frob_sq = float(self.row_norms_sq.sum())
-        self._csr = self._csc = self._csrT = None
-        self._rp = self._ri = self._rx = None
-        self._cp = self._ci = self._cx = None
+        self._rows, self._csr = dense, None
+        self._rows.flags.writeable = False
+        self._row_lines = _Lines("row", dense, dense, np.einsum("ij,ij->i", dense, dense))
+        self._col_lines = _Lines("column", np.asfortranarray(dense).T, dense.T,
+                                 np.einsum("ij,ij->j", dense, dense))
 
     def _init_sparse(self, coo: sp.coo_matrix):
         if coo.data.size and not np.all(np.isfinite(coo.data)):
@@ -151,42 +295,26 @@ class RowColMatrix:
         csr = coo.tocsr()
         csr.sum_duplicates()
         csr.eliminate_zeros()
-        csc = csr.tocsc()
-        self._csr, self._csc = csr, csc
-        self._csrT = csr.T  # CSC view sharing the CSR arrays; used for A^T @ z
-        self._rows = self._cols = None
-        self._rp, self._ri, self._rx = csr.indptr, csr.indices, csr.data
-        self._cp, self._ci, self._cx = csc.indptr, csc.indices, csc.data
         self.nnz = int(csr.nnz)
-        self.row_norms_sq = self._segment_sums(self._rx**2, self._rp, self.m)
-        self.col_norms_sq = self._segment_sums(self._cx**2, self._cp, self.n)
-        self.frob_sq = float(self.row_norms_sq.sum())
-
-    @staticmethod
-    def _segment_sums(values: np.ndarray, indptr: np.ndarray, count: int) -> np.ndarray:
-        out = np.zeros(count)
-        nonempty = np.diff(indptr) > 0
-        if values.size:
-            out[nonempty] = np.add.reduceat(values, indptr[:-1][nonempty])
-        return out
+        self._rows, self._csr = None, csr
+        # A's CSC arrays are the CSR arrays of A^T; csr.T is a CSC view of A
+        # sharing the CSR arrays, used for A^T @ z
+        self._row_lines = _Lines("row", csr, csr)
+        self._col_lines = _Lines("column", csr.tocsc().T, csr.T)
 
     def _check_no_zero_lines(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("matrix must have at least one row and one column")
-        zr = np.flatnonzero(self.row_norms_sq == 0.0)
-        if zr.size:
-            raise ZeroRowOrColumn(int(zr[0]), "row")
-        zc = np.flatnonzero(self.col_norms_sq == 0.0)
-        if zc.size:
-            raise ZeroRowOrColumn(int(zc[0]), "column")
+        for lines in (self._row_lines, self._col_lines):
+            zero = np.flatnonzero(lines.norms_sq == 0.0)
+            if zero.size:
+                raise ZeroRowOrColumn(int(zero[0]), lines.kind)
 
     def _check_row(self, i: int):
-        if not 0 <= i < self.m:
-            raise IndexOutOfRange(f"row index {i} outside [0, {self.m})")
+        self._row_lines.check(i)
 
     def _check_col(self, j: int):
-        if not 0 <= j < self.n:
-            raise IndexOutOfRange(f"column index {j} outside [0, {self.n})")
+        self._col_lines.check(j)
 
     # -- element access ----------------------------------------------------
 
@@ -199,69 +327,19 @@ class RowColMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x."""
-        if not self.is_sparse:
-            return self._rows @ x
-        return self._csr @ x
+        return self._row_lines.op @ x
 
     def rmatvec(self, z: np.ndarray) -> np.ndarray:
         """A^T @ z."""
-        if not self.is_sparse:
-            return z @ self._rows
-        return self._csrT @ z
+        return self._col_lines.op @ z
 
     def row_dot(self, i: int, x: np.ndarray) -> float:
         """A^(i) . x for one row."""
-        if not self.is_sparse:
-            return float(self._rows[i] @ x)
-        s, e = self._rp[i], self._rp[i + 1]
-        return float(self._rx[s:e] @ x[self._ri[s:e]])
+        return self._row_lines.dot(i, x)
 
     def col_dot(self, j: int, z: np.ndarray) -> float:
         """A_(j) . z for one column."""
-        if not self.is_sparse:
-            return float(self._cols[:, j] @ z)
-        s, e = self._cp[j], self._cp[j + 1]
-        return float(self._cx[s:e] @ z[self._ci[s:e]])
-
-    @staticmethod
-    def _build_padding(indptr, indices, data, count):
-        """Fixed-width (index, value) tables for loop-free batched row dots.
-
-        Padded gathers beat the segmented path on every matrix measured, so
-        both stay: this returns None only when padding would blow memory up
-        (one long line in an otherwise short-line matrix), and callers then
-        use the segmented path.
-        """
-        counts = np.diff(indptr)
-        width = int(counts.max()) if counts.size else 0
-        if width == 0 or count * width > 16 * indices.size + (1 << 22):
-            return None
-        pad_idx = np.zeros((count, width), dtype=np.int32)
-        pad_val = np.zeros((count, width), dtype=np.float64)
-        flat = _concat_ranges(indptr[:-1], counts)
-        lane = np.arange(len(flat)) - np.repeat(indptr[:-1], counts)
-        line = np.repeat(np.arange(count), counts)
-        pad_idx[line, lane] = indices[flat]
-        pad_val[line, lane] = data[flat]
-        return pad_idx, pad_val
-
-    @staticmethod
-    def _gather_segments(indptr, indices, data, ids):
-        """Values and indices of lines ``ids``, concatenated, and the offsets
-        of each line's segment (line r at ``offsets[r]:offsets[r + 1]``)."""
-        starts = indptr[ids]
-        counts = indptr[ids + 1] - starts
-        flat = _concat_ranges(starts, counts)
-        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return data[flat], indices[flat], offsets
-
-    @classmethod
-    def _segmented_dots(cls, indptr, indices, data, ids, vec):
-        vals, idx, offsets = cls._gather_segments(indptr, indices, data, ids)
-        if not vals.size:
-            return np.zeros(len(ids))
-        return np.add.reduceat(vals * vec[idx], offsets[:-1])
+        return self._col_lines.dot(j, z)
 
     def row_segments(self, rows: np.ndarray):
         """CSR values, column indices and segment offsets of a batch of rows.
@@ -272,137 +350,43 @@ class RowColMatrix:
         ``rows_dot`` is the cheaper way to score rows: dense storage, and a
         sparse matrix whose padded row table is at least half full.
         """
-        if not self._gather_row_segments:
+        if not self._row_lines.gathers_segments:
             return None
-        return self._gather_segments(self._rp, self._ri, self._rx, rows)
+        return self._row_lines.segments(rows)
 
     def rows_dot(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         """A^(i) . x for a batch of rows (one vector op, no Python loop)."""
-        if not self.is_sparse:
-            return self._rows[rows] @ x
-        pad = self._row_pad
-        if pad is not None:
-            idx, val = pad
-            return np.einsum("ij,ij->i", val[rows], x[idx[rows]])
-        return self._segmented_dots(self._rp, self._ri, self._rx, rows, x)
+        return self._row_lines.dots(rows, x)
 
     def cols_dot(self, cols: np.ndarray, z: np.ndarray) -> np.ndarray:
         """A_(j) . z for a batch of columns."""
-        if not self.is_sparse:
-            return z @ self._cols[:, cols]
-        pad = self._col_pad
-        if pad is not None:
-            idx, val = pad
-            return np.einsum("ij,ij->i", val[cols], z[idx[cols]])
-        return self._segmented_dots(self._cp, self._ci, self._cx, cols, z)
+        return self._col_lines.dots(cols, z)
 
     # -- in-place rank-one style updates (hot path; no index checks) --------
 
     def add_row_to(self, out: np.ndarray, i: int, c: float):
         """out += c * A^(i) with out of length n."""
-        if not self.is_sparse:
-            out += c * self._rows[i]
-            return
-        s, e = self._rp[i], self._rp[i + 1]
-        out[self._ri[s:e]] += c * self._rx[s:e]
+        self._row_lines.add_to(out, i, c)
 
     def add_col_to(self, out: np.ndarray, j: int, c: float):
         """out += c * A_(j) with out of length m."""
-        if not self.is_sparse:
-            out += c * self._cols[:, j]
-            return
-        s, e = self._cp[j], self._cp[j + 1]
-        out[self._ci[s:e]] += c * self._cx[s:e]
-
-    @staticmethod
-    def _scatter_add(out: np.ndarray, idx: np.ndarray, vals: np.ndarray):
-        # overlapping targets need an accumulating scatter; bincount beats
-        # add.at only once the update is large
-        if idx.size < 4096:
-            np.add.at(out, idx, vals)
-        else:
-            out += np.bincount(idx, weights=vals, minlength=out.shape[0])
+        self._col_lines.add_to(out, j, c)
 
     def gram_row_update(self, out: np.ndarray, i: int, c: float):
         """out += c * (A @ A^(i)), from the memo of Gram rows where it fits."""
-        self._memoized_update(0, out, i, c, self._gram_row_kernel)
+        self._row_lines.gram_update(self._col_lines, out, i, c)
 
     def gram_col_update(self, out: np.ndarray, j: int, c: float):
         """out += c * (A^T @ A_(j)), from the memo of Gram rows where it fits."""
-        self._memoized_update(1, out, j, c, self._gram_col_kernel)
-
-    def _memoized_update(self, side: int, out: np.ndarray, k: int, c: float, kernel):
-        """out += c * G[k] for the Gram matrix G of one side, G[k] memoized.
-
-        A side whose p x p table (p = len(out)) would exceed
-        ``GRAM_MEMO_ENTRIES`` entries runs ``kernel`` on every call.  A miss
-        runs it once with c = 1.0 into a zeroed table row, which holds the
-        kernel's product exactly; every call then adds c times that row, so
-        results do not depend on whether the memo is warm.
-        """
-        memo = self._gram_memo[side]
-        if memo is None:
-            p = out.shape[0]
-            if p * p > GRAM_MEMO_ENTRIES:
-                kernel(out, k, c)
-                return
-            # zeroed pages are mapped on first write: rows never filled cost
-            # no memory
-            memo = self._gram_memo[side] = (np.zeros((p, p)), np.zeros(p, dtype=bool))
-        table, filled = memo
-        row = table[k]
-        if not filled[k]:
-            kernel(row, k, 1.0)
-            filled[k] = True
-        out += c * row
-
-    def _gram_row_kernel(self, out: np.ndarray, i: int, c: float):
-        """out += c * (A @ A^(i)); touches only columns where row i is nonzero."""
-        if not self.is_sparse:
-            out += c * (self._rows @ self._rows[i])
-            return
-        s, e = self._rp[i], self._rp[i + 1]
-        cols = self._ri[s:e]
-        weights = c * self._rx[s:e]
-        pad = self._col_pad
-        if pad is not None:
-            idx, val = pad
-            contrib = weights[:, None] * val[cols]
-            self._scatter_add(out, idx[cols].ravel(), contrib.ravel())
-            return
-        starts = self._cp[cols]
-        counts = self._cp[cols + 1] - starts
-        flat = _concat_ranges(starts, counts)
-        contrib = np.repeat(weights, counts) * self._cx[flat]
-        self._scatter_add(out, self._ci[flat], contrib)
-
-    def _gram_col_kernel(self, out: np.ndarray, j: int, c: float):
-        """out += c * (A^T @ A_(j)); touches only rows where column j is nonzero."""
-        if not self.is_sparse:
-            out += c * (self._cols[:, j] @ self._rows)
-            return
-        s, e = self._cp[j], self._cp[j + 1]
-        rows = self._ci[s:e]
-        weights = c * self._cx[s:e]
-        pad = self._row_pad
-        if pad is not None:
-            idx, val = pad
-            contrib = weights[:, None] * val[rows]
-            self._scatter_add(out, idx[rows].ravel(), contrib.ravel())
-            return
-        starts = self._rp[rows]
-        counts = self._rp[rows + 1] - starts
-        flat = _concat_ranges(starts, counts)
-        contrib = np.repeat(weights, counts) * self._rx[flat]
-        self._scatter_add(out, self._ri[flat], contrib)
+        self._col_lines.gram_update(self._row_lines, out, j, c)
 
     # -- cached cumulative norm tables for weighted index sampling ----------
 
     def row_norm_cumsum(self) -> np.ndarray:
-        return self._row_cum
+        return self._row_lines.cum
 
     def col_norm_cumsum(self) -> np.ndarray:
-        return self._col_cum
+        return self._col_lines.cum
 
 
 def build_matrix(data, shape=None) -> RowColMatrix:

@@ -204,7 +204,8 @@ def write_matrix_market(path, mat: RowColMatrix, comment: str = ""):
             if comment:
                 fh.write(f"% {comment}\n")
             fh.write(f"{mat.m} {mat.n} {mat.nnz}\n")
-            indptr, indices, data = mat._rp, mat._ri, mat._rx
+            csr = mat._csr
+            indptr, indices, data = csr.indptr, csr.indices, csr.data
             for i in range(mat.m):
                 for p in range(indptr[i], indptr[i + 1]):
                     fh.write(f"{i + 1} {indices[p] + 1} {data[p]:.17g}\n")
@@ -317,9 +318,9 @@ def _content_key(mat: RowColMatrix, b: np.ndarray, oracle_tol: float) -> str:
     h = hashlib.sha256()
     h.update(f"{mat.m}x{mat.n}:{oracle_tol!r}".encode())
     if mat.is_sparse:
-        h.update(mat._rp.tobytes())
-        h.update(mat._ri.tobytes())
-        h.update(mat._rx.tobytes())
+        h.update(mat._csr.indptr.tobytes())
+        h.update(mat._csr.indices.tobytes())
+        h.update(mat._csr.data.tobytes())
     else:
         h.update(mat._rows.tobytes())
     h.update(np.ascontiguousarray(b).tobytes())

@@ -153,12 +153,10 @@ class GreedySelection:
         return out
 
 
-def init_state(system, seed: int, stream_id: int = 0, x0=None, z0=None) -> SolverState:
-    """Fresh state: x0 = 0 (or a caller vector in range(A^T)), z0 = b."""
-    n, m = system.mat.n, system.mat.m
-    x = np.zeros(n) if x0 is None else as_vector(x0, length=n, name="x0").copy()
-    z = system.b.copy() if z0 is None else as_vector(z0, length=m, name="z0").copy()
-    return SolverState(x=x, z=z, k=0, rng=RngStream(seed, stream_id))
+def init_state(system, seed: int, stream_id: int = 0) -> SolverState:
+    """Fresh state: x0 = 0, which lies in range(A^T), and z0 = b."""
+    return SolverState(x=np.zeros(system.mat.n), z=system.b.copy(), k=0,
+                       rng=RngStream(seed, stream_id))
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +555,11 @@ class RunReport:
     metrics: list
     snr: float | None = None
     bounds: BoundReport | None = None
+    # the run's last SolverState, for callers; not serialized
+    final_state: SolverState | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "final_state"}
         if self.bounds is not None:
             out["bounds"] = self.bounds.to_dict()
         return out
@@ -635,7 +635,7 @@ def run(engine: str, system, rule: StoppingRule | None = None,
         if tracef is not None:
             tracef.close()
 
-    report = RunReport(
+    return RunReport(
         engine=engine,
         provenance=system.provenance,
         seed=seed,
@@ -654,6 +654,5 @@ def run(engine: str, system, rule: StoppingRule | None = None,
         branch_counts=counts,
         stop_trace=list(monitor.trace) if monitor is not None else [],
         metrics=metrics,
+        final_state=state,
     )
-    report.final_state = state  # handy for callers; not part of serialization
-    return report

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import kaczlab as kl
 from kaczlab import (
@@ -98,8 +99,8 @@ def test_products_and_single_dots(rng):
 def test_batch_dots_segmented_path(rng):
     # force the non-padded code path by dropping the padding tables
     mat, dense = random_sparse_matrix(rng, 12, 8)
-    mat._row_pad = None
-    mat._col_pad = None
+    mat._row_lines.pad = None
+    mat._col_lines.pad = None
     x = rng.standard_normal(8)
     z = rng.standard_normal(12)
     rows = np.array([2, 3, 11])
@@ -133,24 +134,28 @@ def test_gram_updates_match_dense(rng):
 
 
 def _gram_sides(mat):
-    """(update, kernel, memo side, out length, index) of each Gram update."""
-    return ((mat.gram_row_update, mat._gram_row_kernel, 0, mat.m, 4),
-            (mat.gram_col_update, mat._gram_col_kernel, 1, mat.n, 2))
+    """(update, line store, other store, out length, index) of each Gram update."""
+    return ((mat.gram_row_update, mat._row_lines, mat._col_lines, mat.m, 4),
+            (mat.gram_col_update, mat._col_lines, mat._row_lines, mat.n, 2))
+
+
+def _memos(mat):
+    return [mat._row_lines.memo, mat._col_lines.memo]
 
 
 def test_gram_memo_dense_miss_and_hit_bit_identical(rng):
     # a memoized row is the kernel's product, so dense iterates are exactly
     # those of the unmemoized kernel, cold or warm
     mat = build_matrix(rng.standard_normal((13, 6)))
-    for update, kernel, side, p, k in _gram_sides(mat):
-        assert mat._gram_memo[side] is None
+    for update, lines, other, p, k in _gram_sides(mat):
+        assert lines.memo is None
         for c in (0.7, -1.3):  # a miss, then a hit on the same index
             out = rng.standard_normal(p)
             expected = out.copy()
-            kernel(expected, k, c)
+            lines.gram_kernel(other, expected, k, c)
             update(out, k, c)
             np.testing.assert_array_equal(out, expected)
-        table, filled = mat._gram_memo[side]
+        table, filled = lines.memo
         assert table.shape == (p, p)
         assert np.flatnonzero(filled).tolist() == [k]
 
@@ -159,15 +164,15 @@ def test_gram_memo_sparse_padded_and_segmented(rng):
     for segmented in (False, True):
         mat, dense = random_sparse_matrix(rng, 13, 6)
         if segmented:
-            mat._row_pad = mat._col_pad = None
-        gram = {0: dense @ dense.T, 1: dense.T @ dense}
-        for update, _, side, p, k in _gram_sides(mat):
+            mat._row_lines.pad = mat._col_lines.pad = None
+        grams = (dense @ dense.T, dense.T @ dense)
+        for (update, lines, _, p, k), gram in zip(_gram_sides(mat), grams):
             for c in (0.7, -1.3):
                 out = rng.standard_normal(p)
-                expected = out + c * gram[side][k]
+                expected = out + c * gram[k]
                 update(out, k, c)
                 np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
-            assert mat._gram_memo[side][1][k]
+            assert lines.memo[1][k]
 
 
 def test_gram_memo_respects_size_cap(rng, monkeypatch):
@@ -175,16 +180,17 @@ def test_gram_memo_respects_size_cap(rng, monkeypatch):
     mat = build_matrix(dense)
     monkeypatch.setattr(kl.matrix, "GRAM_MEMO_ENTRIES", 6 * 6 - 1)
     calls = []
-    for update, kernel, side, p, k in _gram_sides(mat):
-        setattr(mat, kernel.__name__, lambda out, k, c, kernel=kernel:
-                calls.append(k) or kernel(out, k, c))
+    for update, lines, other, p, k in _gram_sides(mat):
+        kernel = lines.gram_kernel
+        lines.gram_kernel = (lambda other, out, k, c, kernel=kernel:
+                             calls.append(k) or kernel(other, out, k, c))
         for _ in range(2):
             out = rng.standard_normal(p)
             expected = out.copy()
-            kernel(expected, k, 0.7)
+            kernel(other, expected, k, 0.7)
             update(out, k, 0.7)
             np.testing.assert_array_equal(out, expected)
-        assert mat._gram_memo[side] is None
+        assert lines.memo is None
     assert calls == [4, 4, 2, 2]
 
 
@@ -192,9 +198,9 @@ def test_gram_memo_untouched_by_rek_and_sampled():
     system = make_gaussian_system(60, 12, seed=23)
     for engine in ("rek", "sampled"):
         kl.run(engine, system, max_iters=500, seed=1)
-    assert system.mat._gram_memo == [None, None]
+    assert _memos(system.mat) == [None, None]
     kl.run("agrak", system, max_iters=500, seed=1)
-    assert all(memo is not None for memo in system.mat._gram_memo)
+    assert all(memo is not None for memo in _memos(system.mat))
 
 
 def _sparse_system(seed):
@@ -209,7 +215,7 @@ def test_run_reports_do_not_depend_on_a_warm_memo():
     for build in (lambda: make_gaussian_system(60, 12, seed=24), lambda: _sparse_system(25)):
         fresh, warmed = build(), build()
         kl.run("agrak", warmed, rule=rule, max_iters=20_000, seed=9)
-        assert all(memo is not None for memo in warmed.mat._gram_memo)
+        assert all(memo is not None for memo in _memos(warmed.mat))
         for engine in ("grak", "agrak"):
             reports = [kl.run(engine, system, rule=rule, max_iters=20_000, seed=2)
                        for system in (fresh, warmed)]
@@ -219,6 +225,67 @@ def test_run_reports_do_not_depend_on_a_warm_memo():
             assert dicts[0] == dicts[1], engine
             np.testing.assert_array_equal(reports[0].final_state.x, reports[1].final_state.x)
             np.testing.assert_array_equal(reports[0].final_state.z, reports[1].final_state.z)
+
+
+def _uneven_sparse(m, n, seed):
+    """Sparse m x n matrix, density 0.005 plus a full first row and column.
+
+    At 12000 x 500 the long lines make both padded tables too large
+    (m * n > 16 nnz + 2^22), so every batched dot and Gram update runs the
+    segmented kernels.
+    """
+    base = sp.random(m, n, density=0.005, format="coo", random_state=seed)
+    rows = np.concatenate([base.row, np.zeros(n, dtype=np.int64), np.arange(m)])
+    cols = np.concatenate([base.col, np.arange(n), np.zeros(m, dtype=np.int64)])
+    vals = np.concatenate([base.data, np.full(n + m, 0.5)])
+    return build_matrix((rows, cols, vals), shape=(m, n))
+
+
+def _transpose_pairs(mat, mat_t, rng):
+    """(column-side result on A, row-side result on A^T) for every primitive,
+    and the reverse Gram pairing."""
+    m, n = mat.m, mat.n
+    z = rng.standard_normal(m)
+    yield mat.col_norms_sq, mat_t.row_norms_sq
+    yield mat.col_norm_cumsum(), mat_t.row_norm_cumsum()
+    yield ([mat.col_dot(j, z) for j in range(n)], [mat_t.row_dot(j, z) for j in range(n)])
+    ids = np.concatenate([[0, n - 1], rng.choice(n, size=min(n, 9), replace=False)])
+    yield mat.cols_dot(ids, z), mat_t.rows_dot(ids, z)
+    for col_update, row_update, k, p in (
+            (mat.add_col_to, mat_t.add_row_to, n - 1, m),
+            (mat.gram_col_update, mat_t.gram_row_update, 0, n),
+            (mat.gram_col_update, mat_t.gram_row_update, n // 2, n),
+            (mat.gram_row_update, mat_t.gram_col_update, 0, m),
+            (mat.gram_row_update, mat_t.gram_col_update, m // 3, m)):
+        for c in (0.7, -1.3):  # a Gram update's memo misses, then hits
+            out = rng.standard_normal(p)
+            out_t = out.copy()
+            col_update(out, k, c)
+            row_update(out_t, k, c)
+            yield out, out_t
+
+
+@pytest.mark.parametrize("storage", ["padded", "segmented"])
+def test_sparse_columns_are_rows_of_the_transpose(storage):
+    # a column step on A is a row step on A^T: each column primitive must
+    # give the row primitive's result on the transposed matrix, bit for bit
+    if storage == "padded":
+        mat = kl.gen_sparse_gaussian(300, 40, 0.1, seed=5)
+    else:
+        mat = _uneven_sparse(12000, 500, seed=5)
+    mat_t = build_matrix(mat._csr.T)
+    for m in (mat, mat_t):
+        for lines in (m._row_lines, m._col_lines):
+            assert (lines.pad is None) == (storage == "segmented")
+    for got, expected in _transpose_pairs(mat, mat_t, np.random.default_rng(6)):
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_dense_columns_are_rows_of_the_transpose(rng):
+    dense = rng.standard_normal((37, 11))
+    mat, mat_t = build_matrix(dense), build_matrix(dense.T)
+    for got, expected in _transpose_pairs(mat, mat_t, np.random.default_rng(7)):
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
 def test_kaczmarz_row_project_examples():

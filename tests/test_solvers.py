@@ -557,6 +557,10 @@ def test_run_reports_replayable():
     d1, d2 = r1.to_dict(), r2.to_dict()
     d1.pop("wall_time_s"), d2.pop("wall_time_s")
     assert d1 == d2
+    # the final state rides along on the report but is not part of its record
+    assert r1.final_state.k == r1.iterations
+    assert "final_state" not in d1 and "final_state" not in r1.to_json()
+    assert "final_state" not in repr(r1)
 
 
 def test_run_zero_reference_reports_no_rse():

@@ -21,8 +21,11 @@ So a change that only rounds differently keeps ``picks`` and moves
 ``state``, and a change that alters the selection moves both.
 
 Trajectories: each engine runs ``STEPS`` steps from ``init_state`` for each
-seed in ``SEEDS`` on a dense 200x50, a sparse 3000x60 and an N=16
-tomography system.  On the two Gaussian systems, one ``lise`` run per
+seed in ``SEEDS`` on a dense 200x50, a sparse 3000x60, a sparse 12000x500
+and an N=16 tomography system.  The 12000x500 matrix has one full row and
+one full column, so it is too uneven for either padded table and its batched
+dots and Gram updates run the segmented kernels, which no benchmark
+workload reaches.  On the two Gaussian systems, one ``lise`` run per
 engine adds its report.  On the dense system, one run per other stopping
 rule kind adds its report the same way.
 """
@@ -68,11 +71,23 @@ def _planted_system(mat, seed):
     return kl.LinearSystem(mat, b, x_star, z_star)
 
 
+def _with_full_lines(mat, seed):
+    """``mat`` plus a full first row and a full first column."""
+    m, n = mat.m, mat.n
+    coo = mat._csr.tocoo()
+    rows = np.concatenate([coo.row, np.zeros(n, dtype=np.int64), np.arange(m)])
+    cols = np.concatenate([coo.col, np.arange(n), np.zeros(m, dtype=np.int64)])
+    vals = np.concatenate([coo.data, np.random.default_rng(seed).standard_normal(n + m)])
+    return kl.build_matrix((rows, cols, vals), shape=(m, n))
+
+
 def systems():
     """(label, system, whether to add a lise run) for each trajectory system."""
     yield "dense-200x50", _planted_system(kl.gen_gaussian(200, 50, seed=11), 11), True
     yield ("sparse-3000x60",
            _planted_system(kl.gen_sparse_gaussian(3000, 60, 0.05, seed=12), 12), True)
+    uneven = _with_full_lines(kl.gen_sparse_gaussian(12000, 500, 0.005, seed=14), 14)
+    yield "sparse-12000x500-full-lines", _planted_system(uneven, 14), False
     spec = kl.TomoSpec(size=16, angles=tuple(np.arange(0.0, 179.0, 6.0)), rays=23)
     mat, phantom = kl.gen_paralleltomo(spec)
     b = kl.build_inconsistent_rhs(mat, phantom, noise_seed=13, noise_scale=0.5)
