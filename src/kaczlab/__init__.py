@@ -29,7 +29,6 @@ from .matrix import RowColMatrix, as_vector, build_matrix
 from .problems import (
     LinearSystem,
     build_inconsistent_rhs,
-    cached_reference_solution,
     gen_gaussian,
     gen_sparse_gaussian,
     read_matrix_market,

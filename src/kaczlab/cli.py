@@ -3,9 +3,7 @@
 Reports are delimited tables with a fixed column order
 (engine, m, n, nnz, seed, IT, CPU_s, RSE, SNR, speedup_vs_grak) or JSON
 documents carrying the full run metadata.  Identical invocations reproduce
-identical reports except for the wall-time column.  The reference-solution
-oracle is cached on disk, keyed by problem content; set KACZLAB_CACHE to
-move the cache directory.
+identical reports except for the wall-time column.
 
 Exit codes: 0 success, 2 bad flags, 3 ingestion failure, 4 oracle failure,
 5 run finished without converging (the report is still written).
@@ -37,6 +35,7 @@ from .errors import (
     ZeroRowOrColumn,
 )
 from .problems import (
+    DEFAULT_ORACLE_TOL,
     LinearSystem,
     build_inconsistent_rhs,
     gen_gaussian,
@@ -275,32 +274,41 @@ def _add_problem_flags(p: argparse.ArgumentParser):
     p.add_argument("--rhs", choices=("nullspace", "randn"), default="nullspace",
                    help="right-hand side: planted solution plus orthogonal noise, "
                         "or plain standard-normal entries")
+    _add_reference_flags(p)
+
+
+def _add_reference_flags(p: argparse.ArgumentParser):
+    """The noise and reference-oracle flags of every subcommand that builds b."""
     p.add_argument("--noise-scale", type=float, default=0.5,
                    help="orthogonal noise size relative to the planted signal")
     p.add_argument("--no-reference", action="store_true",
                    help="skip the least-squares reference oracle")
-    p.add_argument("--oracle-tol", type=float, default=1e-12,
+    p.add_argument("--oracle-tol", type=float, default=DEFAULT_ORACLE_TOL,
                    help="normal-equation tolerance of the reference oracle")
 
 
-def _add_run_flags(p: argparse.ArgumentParser, default_engine: str):
+def _add_run_flags(p: argparse.ArgumentParser, default_engine: str, stop_flags: bool = True):
+    """Engine, seed and report flags; ``stop_flags`` adds the stopping-rule,
+    step-cap and bounds flags, which tomo's fixed budget has no use for."""
     p.add_argument("--engine", default=default_engine,
                    help=f"engine name(s), comma separated; one of {', '.join(ENGINES)}")
     p.add_argument("--eta", type=float, default=0.01,
                    help="sampling ratio of the sampled engine")
-    p.add_argument("--stop", choices=_CLI_STOP_KINDS, default="lise",
-                   help="stopping rule")
-    p.add_argument("--tol", type=float, default=1e-4, help="stopping tolerance")
-    p.add_argument("--window-L", type=int, default=400, dest="window_L",
-                   help="lag L of the windowed stopping rule")
-    p.add_argument("--check-period", type=int, default=None,
-                   help="override the evaluation cadence of the "
-                        f"{', '.join(_PERIOD_KINDS[:-1])} and {_PERIOD_KINDS[-1]} rules "
-                        "(lise checks every L)")
-    p.add_argument("--max-iters", type=int, default=1_000_000)
+    if stop_flags:
+        p.add_argument("--stop", choices=_CLI_STOP_KINDS, default="lise",
+                       help="stopping rule")
+        p.add_argument("--tol", type=float, default=1e-4, help="stopping tolerance")
+        p.add_argument("--window-L", type=int, default=400, dest="window_L",
+                       help="lag L of the windowed stopping rule")
+        p.add_argument("--check-period", type=int, default=None,
+                       help="override the evaluation cadence of the "
+                            f"{', '.join(_PERIOD_KINDS[:-1])} and {_PERIOD_KINDS[-1]} rules "
+                            "(lise checks every L)")
+        p.add_argument("--max-iters", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bounds", action="store_true",
-                   help="append the convergence-bound report (desk-scale only)")
+    if stop_flags:
+        p.add_argument("--bounds", action="store_true",
+                       help="append the convergence-bound report (desk-scale only)")
     p.add_argument("--report", help="write the report here instead of stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -333,15 +341,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tomo.add_argument("--p", type=int, required=True, help="rays per angle")
     p_tomo.add_argument("--iters", type=int, default=20000,
                         help="fixed iteration budget per engine")
-    p_tomo.add_argument("--noise-scale", type=float, default=0.5)
-    p_tomo.add_argument("--no-reference", action="store_true")
-    p_tomo.add_argument("--oracle-tol", type=float, default=1e-12)
-    p_tomo.add_argument("--engine", default="rek,grak,agrak,sampled")
-    p_tomo.add_argument("--eta", type=float, default=0.01)
-    p_tomo.add_argument("--seed", type=int, default=0)
+    _add_reference_flags(p_tomo)
+    _add_run_flags(p_tomo, default_engine=",".join(ENGINES), stop_flags=False)
     p_tomo.add_argument("--images", help="directory for exact/reconstructed PGM images")
-    p_tomo.add_argument("--report", help="write the report here instead of stdout")
-    p_tomo.add_argument("--format", choices=("csv", "json"), default="csv")
     p_tomo.set_defaults(func=cmd_tomo)
 
     p_gen = sub.add_parser("gen", help="write a generated matrix to Matrix Market")

@@ -8,10 +8,7 @@ binary PGM image output.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
-import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +29,6 @@ __all__ = [
     "gen_gaussian",
     "gen_sparse_gaussian",
     "reference_solution",
-    "cached_reference_solution",
     "build_inconsistent_rhs",
     "snr",
     "write_pgm",
@@ -62,13 +58,11 @@ class LinearSystem:
         if self.z_star is not None:
             self.z_star = as_vector(self.z_star, length=self.mat.m, name="z_star")
 
-    def with_reference(self, oracle_tol: float = DEFAULT_ORACLE_TOL,
-                       cache_dir: str | None = None) -> "LinearSystem":
-        """Return a copy carrying the oracle solution (cached on disk)."""
+    def with_reference(self, oracle_tol: float = DEFAULT_ORACLE_TOL) -> "LinearSystem":
+        """Return a copy carrying the oracle solution."""
         if self.x_star is not None and self.z_star is not None:
             return self
-        x_star, z_star = cached_reference_solution(self.mat, self.b, oracle_tol,
-                                                   cache_dir=cache_dir)
+        x_star, z_star = reference_solution(self.mat, self.b, oracle_tol)
         return replace(self, x_star=x_star, z_star=z_star)
 
 
@@ -312,49 +306,6 @@ def reference_solution(mat: RowColMatrix, b, oracle_tol: float = DEFAULT_ORACLE_
         f"normal-equation residual {np.linalg.norm(s):.3e} above target {target:.3e} "
         f"after {used} iterations"
     )
-
-
-def _content_key(mat: RowColMatrix, b: np.ndarray, oracle_tol: float) -> str:
-    h = hashlib.sha256()
-    h.update(f"{mat.m}x{mat.n}:{oracle_tol!r}".encode())
-    if mat.is_sparse:
-        h.update(mat._csr.indptr.tobytes())
-        h.update(mat._csr.indices.tobytes())
-        h.update(mat._csr.data.tobytes())
-    else:
-        h.update(mat._rows.tobytes())
-    h.update(np.ascontiguousarray(b).tobytes())
-    return h.hexdigest()
-
-
-def default_cache_dir() -> str:
-    env = os.environ.get("KACZLAB_CACHE")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "kaczlab")
-
-
-def cached_reference_solution(mat: RowColMatrix, b, oracle_tol: float = DEFAULT_ORACLE_TOL,
-                              cache_dir: str | None = None):
-    """Disk-cached :func:`reference_solution`, keyed by content hash."""
-    cache_dir = cache_dir or default_cache_dir()
-    b = as_vector(b, length=mat.m, name="b")
-    path = os.path.join(cache_dir, _content_key(mat, b, oracle_tol) + ".npz")
-    if os.path.exists(path):
-        with np.load(path) as data:
-            return data["x_star"].copy(), data["z_star"].copy()
-    x_star, z_star = reference_solution(mat, b, oracle_tol)
-    os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".npz.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, x_star=x_star, z_star=z_star)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return x_star, z_star
 
 
 # ---------------------------------------------------------------------------

@@ -125,9 +125,7 @@ class GreedySelection:
 
     ``residual_row`` is b - z - A x and ``residual_col`` is A^T z (views of
     the engine caches).  ``row_values``/``col_values`` hold the masked
-    residual entries on the candidate sets (column values negated);
-    ``masked_row_residual``/``masked_col_residual`` expand them to full
-    length on demand.
+    residual entries on the candidate sets (column values negated).
     """
 
     eps: float
@@ -139,18 +137,6 @@ class GreedySelection:
     col_values: np.ndarray
     residual_row: np.ndarray
     residual_col: np.ndarray
-
-    @property
-    def masked_row_residual(self) -> np.ndarray:
-        out = np.zeros(self.residual_row.shape[0])
-        out[self.row_set] = self.row_values
-        return out
-
-    @property
-    def masked_col_residual(self) -> np.ndarray:
-        out = np.zeros(self.residual_col.shape[0])
-        out[self.col_set] = self.col_values
-        return out
 
 
 def init_state(system, seed: int, stream_id: int = 0) -> SolverState:

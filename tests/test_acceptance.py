@@ -99,8 +99,9 @@ def test_criterion_02_selection_matches_brute_force(rng):
         if sel.row_set.tolist() != row_set or sel.col_set.tolist() != col_set:
             mismatches += 1
             continue
-        worst = max(worst, np.abs(sel.masked_row_residual - r_m).max(initial=0.0))
-        worst = max(worst, np.abs(sel.masked_col_residual - s_m).max(initial=0.0))
+        # the sets match, and the brute-force vectors are zero off them
+        worst = max(worst, np.abs(sel.row_values - r_m[row_set]).max(initial=0.0))
+        worst = max(worst, np.abs(sel.col_values - s_m[col_set]).max(initial=0.0))
     ok = mismatches == 0 and worst <= 1e-14
     assert _verdict(2, "greedy selection equals brute force (50 x 6x4)", ok,
                     f"set mismatches {mismatches}, worst residual gap {worst:.1e}")

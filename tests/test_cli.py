@@ -241,6 +241,20 @@ def test_tomo_zero_iterations_unit_snr(capsys):
     assert float(_parse_csv(out)[0]["SNR"]) == 1.0
 
 
+def test_reference_oracle_writes_nothing_home(capsys, tmp_path, monkeypatch):
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    for name in [k for k in os.environ if k.startswith("KACZLAB_")]:
+        monkeypatch.delenv(name)  # no setting may send a write elsewhere
+    code, out, _ = _run(capsys, "solve", "--gen", "gaussian:40x10", "--seed", "4")
+    assert code == 0 and _parse_csv(out)[0]["RSE"] != ""
+    code, out, _ = _run(capsys, "tomo", "--N", "8", "--angles", "0:20:160",
+                        "--p", "12", "--iters", "200", "--engine", "grak")
+    assert code == 0 and _parse_csv(out)[0]["RSE"] != ""
+    assert list(home.iterdir()) == []
+
+
 def test_help_documents_schema(capsys):
     code, out, _ = _run(capsys, "--help")
     assert code == 0

@@ -4,7 +4,6 @@ import os
 import numpy as np
 import pytest
 
-import kaczlab as kl
 from kaczlab import (
     LinearSystem,
     OracleNotConverged,
@@ -202,19 +201,6 @@ def test_reference_budget_exhaustion(rng):
     mat = build_matrix(rng.standard_normal((6, 3)))
     with pytest.raises(OracleNotConverged):
         reference_solution(mat, rng.standard_normal(6), oracle_tol=0.0)
-
-
-def test_cached_reference(tmp_path, rng):
-    dense = rng.standard_normal((9, 4))
-    mat = build_matrix(dense)
-    b = rng.standard_normal(9)
-    cache = str(tmp_path / "cache")
-    x1, z1 = kl.cached_reference_solution(mat, b, cache_dir=cache)
-    files = os.listdir(cache)
-    assert len(files) == 1
-    x2, z2 = kl.cached_reference_solution(mat, b, cache_dir=cache)
-    assert np.array_equal(x1, x2) and np.array_equal(z1, z2)
-    assert os.listdir(cache) == files
 
 
 # ---------------------------------------------------------------------------

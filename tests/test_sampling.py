@@ -275,9 +275,3 @@ def test_residual_sample_zero_mass():
     sel = _selection([0.0], [0.0], 1, 1)
     with pytest.raises(ZeroResidual):
         grak_residual_sample(sel, RngStream(18))
-
-
-def test_masked_residual_expansion():
-    sel = _selection([0.0, 2.0, 0.0], [3.0], 3, 2)
-    np.testing.assert_array_equal(sel.masked_row_residual, [0.0, 2.0, 0.0])
-    np.testing.assert_array_equal(sel.masked_col_residual, [3.0, 0.0])

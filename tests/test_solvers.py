@@ -195,7 +195,7 @@ def test_selection_one_by_one_hand_case():
     sel = grak_build_selection(st, system)
     assert sel.row_set.size == 0
     np.testing.assert_array_equal(sel.col_set, [0])
-    np.testing.assert_allclose(sel.masked_col_residual, [-2.0])
+    np.testing.assert_allclose(sel.col_values, [-2.0])
     assert sel.eps == pytest.approx(2.0 / 3.0)
     assert sel.eps_row == pytest.approx(1.0 / 6.0)
 
@@ -254,8 +254,9 @@ def test_selection_matches_brute_force(rng):
         assert sel.eps_col == pytest.approx(eps_col, rel=1e-12)
         assert sel.row_set.tolist() == row_set
         assert sel.col_set.tolist() == col_set
-        np.testing.assert_allclose(sel.masked_row_residual, r_m, atol=1e-14)
-        np.testing.assert_allclose(sel.masked_col_residual, s_m, atol=1e-14)
+        # the sets match, and the brute-force vectors are zero off them
+        np.testing.assert_allclose(sel.row_values, r_m[row_set], atol=1e-14)
+        np.testing.assert_allclose(sel.col_values, s_m[col_set], atol=1e-14)
 
 
 def test_grak_one_by_one_step():
