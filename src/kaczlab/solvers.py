@@ -24,13 +24,12 @@ stacked argmax and one branch routine; they differ in where their residual
 entries come from.
 
 ``grak`` and ``agrak`` need the full residuals b - z - A x and A^T z each
-step.  Those are cached in ``state.scratch``, updated incrementally by the
-projection helpers (one row or column of the Gram products, which the
-matrix memoizes per index where its side fits ``GRAM_MEMO_ENTRIES``), and
-recomputed every ``RESIDUAL_REFRESH`` steps to cap drift or when
-``state.x`` or ``state.z`` is not the array they were computed from.
-``sampled`` and ``rek`` deliberately never form full residuals, so they
-never fill the memo; that is their point.
+step.  ``state.residuals`` holds them, updated by the projection helpers
+(one row or column of the Gram products, which the matrix memoizes per index
+where its side fits ``GRAM_MEMO_ENTRIES``) and rebuilt after
+``RESIDUAL_REFRESH`` updates to cap drift, or when the step's system,
+``state.x`` or ``state.z`` is not theirs.  ``sampled`` and ``rek`` never form
+full residuals, so they never fill the memo; that is their point.
 """
 
 from __future__ import annotations
@@ -87,21 +86,24 @@ class SolverState:
     """Iterate pair, step counter and the engine's private random stream.
 
     ``x`` starts in range(A^T) (zero by default) and ``z`` at b; every step
-    function advances ``k`` by exactly one.  ``scratch`` holds engine-owned
-    caches and is not part of the mathematical state: the greedy engines'
-    residual caches, and the sampled engine's block of subsets drawn ahead
-    from ``rng``.  Assigning a new array to ``x`` or ``z`` is always safe;
-    after writing into them in place, call ``state.scratch.clear()`` so the
-    residual caches are rebuilt.  Clearing drops the unused subsets of the
-    block; the next step draws a fresh block from the stream, so the subsets
-    stay independent and uniform.
+    function advances ``k`` by exactly one.  ``residuals`` (grak, agrak) and
+    ``subsets`` (sampled, drawn ahead from ``rng``) are engine caches that
+    follow their system, so a state may be stepped on another system and a
+    new array may be assigned to ``x`` or ``z``.  After writing into them in
+    place, call ``invalidate()``; the unused subsets it drops leave the law
+    of the next block, drawn fresh from the stream, unchanged.
     """
 
     x: np.ndarray
     z: np.ndarray
     k: int
     rng: RngStream
-    scratch: dict = field(default_factory=dict)
+    residuals: _Residuals | None = field(default=None, repr=False, compare=False)
+    subsets: _SubsetBlock | None = field(default=None, repr=False, compare=False)
+
+    def invalidate(self) -> None:
+        """Drop both engine caches; the next step rebuilds what it needs."""
+        self.residuals = self.subsets = None
 
 
 @dataclass
@@ -150,33 +152,43 @@ def init_state(system, seed: int, stream_id: int = 0) -> SolverState:
 # ---------------------------------------------------------------------------
 
 
-def _residuals(state: SolverState, system):
-    """Cached (b - z - A x, A^T z), recomputed on first use, periodically, and
-    whenever ``state.x`` or ``state.z`` is not the array it was built from."""
-    sc = state.scratch
-    if ("residual_row" not in sc or sc["stale_steps"] >= RESIDUAL_REFRESH
-            or sc["cached_x"] is not state.x or sc["cached_z"] is not state.z):
-        sc["residual_row"] = system.b - state.z - system.mat.matvec(state.x)
-        sc["residual_col"] = system.mat.rmatvec(state.z)
-        sc["cached_x"], sc["cached_z"] = state.x, state.z
-        sc["stale_steps"] = 0
-    return sc["residual_row"], sc["residual_col"]
+class _Residuals:
+    """b - z - A x and A^T z of one system at one iterate, and buffers for their
+    stacked criteria; the projection helpers update both and count ``updates``."""
+
+    def __init__(self, system, x: np.ndarray, z: np.ndarray):
+        mat = self.mat = system.mat
+        self.system, self.x, self.z = system, x, z
+        self.row = system.b - z - mat.matvec(x)
+        self.col = mat.rmatvec(z)
+        self.row_crit, self.col_crit = np.empty(mat.m), np.empty(mat.n)
+        self.updates = 0
+
+    @classmethod
+    def of(cls, state: SolverState, system) -> _Residuals:
+        """The state's residuals for a step on ``system``, rebuilt after
+        ``RESIDUAL_REFRESH`` updates or when their system, x or z is not the step's."""
+        res = state.residuals
+        if (res is None or res.updates >= RESIDUAL_REFRESH or res.system is not system
+                or res.x is not state.x or res.z is not state.z):
+            res = state.residuals = cls(system, state.x, state.z)
+        return res
+
+    def criteria(self):
+        """Normalized squared criteria of every stacked row, in the buffers."""
+        np.multiply(self.row, self.row, out=self.row_crit)
+        self.row_crit /= self.mat.aug_row_norms_sq
+        np.multiply(self.col, self.col, out=self.col_crit)
+        self.col_crit /= self.mat.col_norms_sq
+        return self.row_crit, self.col_crit
 
 
-def _criteria(state: SolverState, system):
-    """Normalized squared criteria of every stacked row, in reused buffers."""
-    rr, rc = _residuals(state, system)
-    sc = state.scratch
-    bufs = sc.get("criteria_buffers")
-    if bufs is None:
-        bufs = (np.empty(system.mat.m), np.empty(system.mat.n))
-        sc["criteria_buffers"] = bufs
-    row_crit, col_crit = bufs
-    np.multiply(rr, rr, out=row_crit)
-    row_crit /= system.mat.aug_row_norms_sq
-    np.multiply(rc, rc, out=col_crit)
-    col_crit /= system.mat.col_norms_sq
-    return rr, rc, row_crit, col_crit
+def _tracked(state: SolverState, mat) -> _Residuals | None:
+    """The residuals a projection on ``mat`` keeps in step; another matrix's are dropped."""
+    res = state.residuals
+    if res is not None and res.mat is not mat:
+        res = state.residuals = None
+    return res
 
 
 def _apply_stacked_row(state: SolverState, mat, i: int, r: float) -> float:
@@ -185,13 +197,12 @@ def _apply_stacked_row(state: SolverState, mat, i: int, r: float) -> float:
     d = r / mat.aug_row_norms_sq[i]
     state.z[i] += d
     mat.add_row_to(state.x, i, d)
-    sc = state.scratch
-    rr = sc.get("residual_row")
-    if rr is not None:
-        rr[i] -= d
-        mat.gram_row_update(rr, i, -d)
-        mat.add_row_to(sc["residual_col"], i, d)
-        sc["stale_steps"] += 1
+    res = _tracked(state, mat)
+    if res is not None:
+        res.row[i] -= d
+        mat.gram_row_update(res.row, i, -d)
+        mat.add_row_to(res.col, i, d)
+        res.updates += 1
     return d
 
 
@@ -200,12 +211,11 @@ def _apply_column_projection(state: SolverState, mat, j: int, s: float) -> float
     caches in sync.  Returns c."""
     c = s / mat.col_norms_sq[j]
     mat.add_col_to(state.z, j, -c)
-    sc = state.scratch
-    rr = sc.get("residual_row")
-    if rr is not None:
-        mat.add_col_to(rr, j, c)
-        mat.gram_col_update(sc["residual_col"], j, -c)
-        sc["stale_steps"] += 1
+    res = _tracked(state, mat)
+    if res is not None:
+        mat.add_col_to(res.row, j, c)
+        mat.gram_col_update(res.col, j, -c)
+        res.updates += 1
     return c
 
 
@@ -214,11 +224,10 @@ def _apply_x_refresh(state: SolverState, mat, i: int, r: float) -> float:
     untouched), residual caches in sync.  Returns d."""
     d = r / mat.row_norms_sq[i]
     mat.add_row_to(state.x, i, d)
-    sc = state.scratch
-    rr = sc.get("residual_row")
-    if rr is not None:
-        mat.gram_row_update(rr, i, -d)
-        sc["stale_steps"] += 1
+    res = _tracked(state, mat)
+    if res is not None:
+        mat.gram_row_update(res.row, i, -d)
+        res.updates += 1
     return d
 
 
@@ -322,9 +331,10 @@ def grak_build_selection(state: SolverState, system) -> GreedySelection:
     thresholds average the best normalized criterion with the inverse
     stacked Frobenius weight, so the argmax index always qualifies.
     """
-    rr, rc, row_crit, col_crit = _criteria(state, system)
+    res = _Residuals.of(state, system)
+    row_crit, col_crit = res.criteria()
     mat = system.mat
-    total = float(rr @ rr) + float(rc @ rc)
+    total = float(res.row @ res.row) + float(res.col @ res.col)
     if total <= 0.0:
         raise ZeroResidual("stacked residual is zero")
     base = 1.0 / (mat.m + 2.0 * mat.frob_sq)
@@ -348,10 +358,10 @@ def grak_build_selection(state: SolverState, system) -> GreedySelection:
         eps_col=eps_col,
         row_set=row_set,
         col_set=col_set,
-        row_values=rr[row_set],
-        col_values=-rc[col_set],
-        residual_row=rr,
-        residual_col=rc,
+        row_values=res.row[row_set],
+        col_values=-res.col[col_set],
+        residual_row=res.row,
+        residual_col=res.col,
     )
 
 
@@ -365,15 +375,13 @@ def grak_step(state: SolverState, system) -> StepOutcome:
         return StepOutcome("converged")
     if t < mat.m:
         r = sel.residual_row[t]
-        value = r * r / mat.aug_row_norms_sq[t]
         _apply_stacked_row(state, mat, t, r)
-        out = StepOutcome("row", row=t, value=float(value))
+        out = StepOutcome("row", row=t, value=float(r * r / mat.aug_row_norms_sq[t]))
     else:
         j = t - mat.m
         s = sel.residual_col[j]
-        value = s * s / mat.col_norms_sq[j]
         _apply_column_projection(state, mat, j, s)
-        out = StepOutcome("col", col=j, value=float(value))
+        out = StepOutcome("col", col=j, value=float(s * s / mat.col_norms_sq[j]))
     state.k += 1
     return out
 
@@ -384,12 +392,12 @@ def agrak_step(state: SolverState, system) -> StepOutcome:
 
     Ties break toward the row block, then toward the smallest index.
     """
-    rr, rc, row_crit, col_crit = _criteria(state, system)
-    t, value = _stacked_argmax(row_crit, col_crit)
+    res = _Residuals.of(state, system)
+    t, value = _stacked_argmax(*res.criteria())
     if t is None:
         return StepOutcome("converged")
-    # the projection helpers keep rr and rc in step with the iterate
-    return _accelerated_branch(state, system, t, value, rr.__getitem__, rc.__getitem__)
+    # the projection helpers keep res.row and res.col in step with the iterate
+    return _accelerated_branch(state, system, t, value, res.row.__getitem__, res.col.__getitem__)
 
 
 class _SubsetBlock:
@@ -406,8 +414,7 @@ class _SubsetBlock:
 
     def __init__(self, system, k: int, rng: RngStream):
         mat = self.mat = system.mat
-        self.system = system
-        self.k = k
+        self.system, self.k = system, k
         subsets = simple_random_subsets(mat.m, mat.n, k, SUBSET_BLOCK, rng)
         is_row = subsets < mat.m
         row_counts = np.count_nonzero(is_row, axis=1)
@@ -428,9 +435,15 @@ class _SubsetBlock:
             self.segments = (values, cols, starts, firsts.tolist())
         self.used = 0
 
-    def fits(self, system, k: int) -> bool:
-        """Whether the next step on ``system`` with size-k subsets may use this block."""
-        return self.system is system and self.k == k and self.used < SUBSET_BLOCK
+    @classmethod
+    def of(cls, state: SolverState, system, k: int) -> _SubsetBlock:
+        """The state's block for a step on ``system`` with size-k subsets, drawn
+        anew when spent or when its system or subset size is not the step's."""
+        block = state.subsets
+        if (block is None or block.used >= SUBSET_BLOCK or block.system is not system
+                or block.k != k):
+            block = state.subsets = cls(system, k, state.rng)
+        return block
 
     def take(self, x: np.ndarray, z: np.ndarray):
         """Best stacked index of the next subset by the squared criteria.
@@ -473,38 +486,25 @@ class _SubsetBlock:
         return best_t, best
 
 
-def _sampled_argmax(state: SolverState, system, k: int):
-    """Score the next size-k subset of the state's block, drawing a new
-    block when the current one is spent or belongs to another system or
-    subset size."""
-    block = state.scratch.get("subset_block")
-    if block is None or not block.fits(system, k):
-        block = state.scratch["subset_block"] = _SubsetBlock(system, k, state.rng)
-    return block.take(state.x, state.z)
-
-
 def sampled_step(state: SolverState, system, eta_s: float = 0.01) -> StepOutcome:
     """One step of the subset-sampled semi-randomized engine.
 
     A fresh uniform subset of stacked indices is taken, the greedy criterion
     is evaluated only there, and the winning index is projected exactly as in
     the accelerated engine.  No full residual is ever formed.  Subsets are
-    drawn ``SUBSET_BLOCK`` at a time and kept in ``state.scratch``.  If the
+    drawn ``SUBSET_BLOCK`` at a time and kept in ``state.subsets``.  If the
     sampled criteria all vanish the next subset is tried; if they still
     vanish the full residual decides between convergence and a full-sweep
     fallback.
     """
     mat = system.mat
     k = subset_size(mat.m, mat.n, eta_s)
-    t, value = _sampled_argmax(state, system, k)
+    t, value = _SubsetBlock.of(state, system, k).take(state.x, state.z)
     if t is None:
-        t, value = _sampled_argmax(state, system, k)
+        t, value = _SubsetBlock.of(state, system, k).take(state.x, state.z)
     if t is None:
-        # full sweep on fresh residuals; the greedy cache is never started
-        rr = system.b - state.z - mat.matvec(state.x)
-        rc = mat.rmatvec(state.z)
-        t, value = _stacked_argmax((rr * rr) / mat.aug_row_norms_sq,
-                                   (rc * rc) / mat.col_norms_sq)
+        # full sweep on fresh residuals, not stored: the greedy cache is never started
+        t, value = _stacked_argmax(*_Residuals(system, state.x, state.z).criteria())
         if t is None:
             return StepOutcome("converged")
     return _accelerated_branch(state, system, t, value,

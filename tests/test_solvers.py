@@ -8,6 +8,7 @@ import pytest
 import kaczlab as kl
 from kaczlab import RngStream, build_matrix
 from kaczlab.solvers import (
+    RESIDUAL_REFRESH,
     SUBSET_BLOCK,
     GreedySelection,
     _SubsetBlock,
@@ -255,8 +256,8 @@ def test_selection_matches_brute_force(rng):
         assert sel.row_set.tolist() == row_set
         assert sel.col_set.tolist() == col_set
         # the sets match, and the brute-force vectors are zero off them
-        np.testing.assert_allclose(sel.row_values, r_m[row_set], atol=1e-14)
-        np.testing.assert_allclose(sel.col_values, s_m[col_set], atol=1e-14)
+        np.testing.assert_allclose(sel.row_values, r_m[row_set], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(sel.col_values, s_m[col_set], rtol=0, atol=1e-14)
 
 
 def test_grak_one_by_one_step():
@@ -476,7 +477,9 @@ def test_sampled_block_criterion_matches_dense(rng):
                 assert t == (rows[best] if best < rows.size
                              else m + cols[best - rows.size]), name
                 np.testing.assert_allclose(value, crit[best], rtol=1e-12)
-            assert not blk.fits(system, k)
+            spent = init_state(system, seed=0)
+            spent.subsets = blk
+            assert _SubsetBlock.of(spent, system, k) is not blk
 
 
 def test_sampled_matches_naive(rng):
@@ -655,8 +658,7 @@ def test_residual_cache_matches_truth_after_many_steps():
     st = init_state(system, seed=7)
     for _ in range(3000):
         agrak_step(st, system)
-    rr = st.scratch["residual_row"]
-    rc = st.scratch["residual_col"]
+    rr, rc = st.residuals.row, st.residuals.col
     true_rr = system.b - st.z - system.mat.matvec(st.x)
     true_rc = system.mat.rmatvec(st.z)
     scale = max(np.linalg.norm(system.b), 1.0)
@@ -664,22 +666,71 @@ def test_residual_cache_matches_truth_after_many_steps():
     assert np.abs(rc - true_rc).max() <= 1e-9 * scale
 
 
+def _assign_x(st, system):
+    st.x = st.x + 0.3 * system.mat.rmatvec(np.ones(system.mat.m))
+    return system
+
+
+def _write_x_in_place(st, system):
+    st.x += 0.3 * system.mat.rmatvec(np.ones(system.mat.m))
+    st.invalidate()
+    return system
+
+
+def _other_rhs(st, system):
+    # same matrix, another b: the residuals of the old b are wrong for it
+    return kl.LinearSystem(system.mat, system.b + RngStream(9).standard_normal(system.mat.m))
+
+
+def _rek_on_other_matrix(st, system):
+    # rek moves x and z in place along another matrix's lines
+    other = make_gaussian_system(60, 20, seed=14, with_reference=False)
+    for _ in range(3):
+        rek_step(st, other)
+    return system
+
+
 @pytest.mark.parametrize("step", [grak_step, agrak_step])
 def test_residual_cache_follows_assigned_iterate(step):
-    # assigning a new x between steps must not leave the engine choosing on
-    # residuals of the old one: the next step matches a state whose caches
-    # were never built
-    system = make_gaussian_system(60, 20, seed=13, with_reference=False)
-    st = init_state(system, seed=8)
-    for _ in range(5):
-        step(st, system)
-    st.x = st.x + 0.3 * system.mat.rmatvec(np.ones(60))
-    twin = copy.deepcopy(st)
-    twin.scratch.clear()
-    out, twin_out = step(st, system), step(twin, system)
-    assert (out.kind, out.row, out.col) == (twin_out.kind, twin_out.row, twin_out.col)
-    np.testing.assert_array_equal(st.x, twin.x)
-    np.testing.assert_array_equal(st.z, twin.z)
-    true_rr = system.b - st.z - system.mat.matvec(st.x)
-    rr = st.scratch["residual_row"]
-    assert np.linalg.norm(rr - true_rr) <= 1e-12 * np.linalg.norm(true_rr)
+    # a new x, an in-place write followed by invalidate(), another system, or
+    # steps on another matrix must not leave the engine choosing on stale
+    # residuals: the next step matches a twin whose caches were invalidated
+    for move in (_assign_x, _write_x_in_place, _other_rhs, _rek_on_other_matrix):
+        system = make_gaussian_system(60, 20, seed=13, with_reference=False)
+        st = init_state(system, seed=8)
+        for _ in range(5):
+            step(st, system)
+        target = move(st, system)
+        twin = copy.deepcopy(st)
+        twin.invalidate()
+        out, twin_out = step(st, target), step(twin, target)
+        assert (out.kind, out.row, out.col) == (twin_out.kind, twin_out.row, twin_out.col), \
+            move.__name__
+        np.testing.assert_array_equal(st.x, twin.x, err_msg=move.__name__)
+        np.testing.assert_array_equal(st.z, twin.z, err_msg=move.__name__)
+        true_rr = target.b - st.z - target.mat.matvec(st.x)
+        rr = st.residuals.row
+        assert np.linalg.norm(rr - true_rr) <= 1e-12 * np.linalg.norm(true_rr), move.__name__
+
+
+@pytest.mark.parametrize("step", [grak_step, agrak_step])
+def test_residual_cache_refreshes_after_refresh_updates(step):
+    # one update per projection, so agrak's column step (column projection
+    # plus x refresh) counts two; the step that finds RESIDUAL_REFRESH or
+    # more rebuilds the residuals, and no other step does
+    system = make_gaussian_system(25, 8, seed=12, with_reference=False)
+    st = init_state(system, seed=7)
+    step(st, system)
+    refreshes = 0
+    for _ in range(2 * RESIDUAL_REFRESH + 100):
+        res, before = st.residuals, st.residuals.updates
+        out = step(st, system)
+        if before >= RESIDUAL_REFRESH:
+            assert st.residuals is not res
+            refreshes += 1
+            before = 0
+        else:
+            assert st.residuals is res
+        made = 2 if step is agrak_step and out.kind == "col" else 1
+        assert st.residuals.updates == before + made
+    assert refreshes >= 2
