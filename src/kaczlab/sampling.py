@@ -85,7 +85,7 @@ class SampleSubset:
 def _cumsum_draw(cum: np.ndarray, rng: RngStream) -> int:
     """Draw an index with probability proportional to the cumsum increments."""
     u = rng.uniform() * cum[-1]
-    idx = int(np.searchsorted(cum, u, side="right"))
+    idx = int(cum.searchsorted(u, side="right"))
     return min(idx, len(cum) - 1)
 
 

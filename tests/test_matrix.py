@@ -265,14 +265,61 @@ def _transpose_pairs(mat, mat_t, rng):
             yield out, out_t
 
 
+def _storage_matrix(storage):
+    """A matrix whose stores are dense blocks, padded sparse tables, CSR
+    segments only, or CSR arrays built from triplets with repeated
+    coordinates."""
+    if storage == "padded":
+        return kl.gen_sparse_gaussian(300, 40, 0.1, seed=5)
+    if storage == "segmented":
+        return _uneven_sparse(12000, 500, seed=5)
+    rng = np.random.default_rng(8)
+    if storage == "dense":
+        return build_matrix(rng.standard_normal((30, 12)))
+    # every coordinate of a 30 x 12 grid twice, plus 200 repeats at random
+    ii, jj = np.divmod(np.arange(360), 12)
+    rows = np.concatenate([ii, ii, rng.integers(0, 30, 200)])
+    cols = np.concatenate([jj, jj, rng.integers(0, 12, 200)])
+    return build_matrix((rows, cols, rng.standard_normal(rows.size)), shape=(30, 12))
+
+
+@pytest.mark.parametrize("storage", ["padded", "segmented"])
+def test_sparse_index_arrays_are_intp(storage):
+    # numpy casts an int32 index array on every fancy index, so every index
+    # array a sparse store gathers or scatters through is intp
+    mat = _storage_matrix(storage)
+    ids = np.arange(3)
+    for lines in (mat._row_lines, mat._col_lines):
+        arrays = [lines.indptr, lines.indices, lines.segments(ids)[1]]
+        if lines.pad is not None:
+            arrays.append(lines.pad[0])
+        assert [a.dtype for a in arrays] == [np.dtype(np.intp)] * len(arrays)
+    assert mat.row_segments(ids)[1].dtype == np.intp
+
+
+@pytest.mark.parametrize("storage", ["padded", "segmented", "dense", "duplicates"])
+def test_scaled_adds_match_fancy_index_add(storage):
+    # add_row_to / add_col_to add exactly what out[idx] += c * vals adds
+    mat = _storage_matrix(storage)
+    dense = mat.to_dense()
+    rng = np.random.default_rng(9)
+    for add, lines, count in ((mat.add_row_to, dense, mat.m),
+                              (mat.add_col_to, dense.T, mat.n)):
+        for k in (0, count - 1, *rng.choice(count, size=5, replace=False)):
+            idx = np.flatnonzero(lines[k]) if mat.is_sparse else np.arange(lines.shape[1])
+            for c in (0.7, -1.3):
+                out = rng.standard_normal(lines.shape[1])
+                expected = out.copy()
+                expected[idx] += c * lines[k, idx]
+                add(out, k, c)
+                np.testing.assert_array_equal(out, expected)
+
+
 @pytest.mark.parametrize("storage", ["padded", "segmented"])
 def test_sparse_columns_are_rows_of_the_transpose(storage):
     # a column step on A is a row step on A^T: each column primitive must
     # give the row primitive's result on the transposed matrix, bit for bit
-    if storage == "padded":
-        mat = kl.gen_sparse_gaussian(300, 40, 0.1, seed=5)
-    else:
-        mat = _uneven_sparse(12000, 500, seed=5)
+    mat = _storage_matrix(storage)
     mat_t = build_matrix(mat._csr.T)
     for m in (mat, mat_t):
         for lines in (m._row_lines, m._col_lines):
