@@ -10,22 +10,33 @@ Gram updates, index checks) is written once on the store; ``row_*`` and
 row-major block: A itself, or the transpose of a column-major copy of A.  A
 sparse store holds the CSR arrays of its operand: A's CSR form, or A's CSC
 form, which is the CSR form of A^T.  Each store caches its squared line norms
-and their cumulative table for weighted index sampling and, when sparse, a
-fixed-width table of its lines for the batched dots.  Matrices with a zero
+and their cumulative table for weighted index sampling.  Matrices with a zero
 row or zero column are rejected outright; the solvers divide by those norms.
 
-A sparse store keeps ``np.intp`` copies of the CSR index arrays, and its
-fixed-width table holds ``np.intp`` indices too: numpy casts an int32 index
-array to intp on every fancy index.  The scipy operator ``op`` keeps scipy's
-own int32 arrays for whole products.  The price is memory: index arrays take
-13.5 MB instead of 6.2 MB on the 60000 x 209 benchmark system and 68 MB
-instead of 31 MB on the N=60 tomography matrix (22375 x 3600).  The
-fixed-width table's size guard counts entries, not bytes.
+A sparse store's batched kernels are scipy's compiled CSR loops from the
+private module ``scipy.sparse._sparsetools``, which scipy builds and ships,
+so they need no build step here: ``csr_row_index`` gathers a batch of lines
+into contiguous segments, ``csr_matvec`` dots each segment with a vector,
+and ``csc_matvec`` adds a weighted sum of segments into a Gram row in place.
+Only this module calls them.  They check no bounds: an id past either end
+of a line table, or a vector or output shorter than the indices that reach
+into it, reads or writes outside the arrays.  So before a call every
+caller-supplied id is checked against [0, count) (``IndexOutOfRange``), and
+every vector and output against its length and float64 dtype
+(``ValueError``).
+
+A sparse store keeps ``np.intp`` copies of the CSR index arrays (numpy
+casts an int32 index array to intp on every fancy index, and the compiled
+loops take one integer type throughout); the scipy operator ``op`` keeps
+scipy's own int32 arrays for whole products.  The line stores and scipy's
+arrays take 11.5 MB on the 60000 x 209 benchmark system and 72 MB on the
+N=60 tomography matrix (22375 x 3600); one set-up of those workloads peaks
+at 73 MiB and 220 MiB of RSS.
 
 The Gram updates ``gram_row_update`` (out += c A A^(i)) and
 ``gram_col_update`` (out += c A^T A_(j)) memoize one Gram row per index, so
 an index that comes back costs one axpy instead of a matrix-vector product
-(dense) or a scatter-add through the other store's lines (sparse).  Each
+(dense) or an accumulation of the other store's lines (sparse).  Each
 store has its own p x p table, p being the length of ``out`` (m for the row
 side, n for the column side), allocated on the store's first update and only
 when p^2 is at most ``GRAM_MEMO_ENTRIES``; a larger side runs its kernel on
@@ -41,6 +52,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import IndexOutOfRange, NonFiniteEntry, ZeroRowOrColumn
 
@@ -68,18 +80,6 @@ def as_vector(values, length: int | None = None, name: str = "vector") -> np.nda
     return v
 
 
-def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate integer ranges [s, s+c) without a Python loop."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    pos = np.cumsum(counts)[:-1]
-    out[pos] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
-    return np.cumsum(out)
-
-
 def _segment_sums(values: np.ndarray, indptr: np.ndarray, count: int) -> np.ndarray:
     out = np.zeros(count)
     nonempty = np.diff(indptr) > 0
@@ -88,13 +88,27 @@ def _segment_sums(values: np.ndarray, indptr: np.ndarray, count: int) -> np.ndar
     return out
 
 
-def _scatter_add(out: np.ndarray, idx: np.ndarray, vals: np.ndarray):
-    # overlapping targets need an accumulating scatter; bincount beats
-    # add.at only once the update is large
-    if idx.size < 4096:
-        np.add.at(out, idx, vals)
-    else:
-        out += np.bincount(idx, weights=vals, minlength=out.shape[0])
+def check_vector(v: np.ndarray, length: int, name: str):
+    """Reject anything but a float64 1-D array of ``length`` entries.
+
+    The sparsetools loops check no bounds: they read and write through
+    whatever pointers and lengths they are given.
+    """
+    if not (isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype == np.float64
+            and v.shape[0] == length):
+        raise ValueError(f"{name} must be a float64 vector of length {length}, got "
+                         f"{getattr(v, 'dtype', type(v).__name__)} of shape "
+                         f"{np.shape(v)}")
+
+
+def _csr_dots(ptr: np.ndarray, idx: np.ndarray, vals: np.ndarray, v: np.ndarray,
+              width: int) -> np.ndarray:
+    """Dot of ``v`` with each CSR line ``ptr`` delimits; ``ptr`` holds absolute
+    offsets into ``idx``/``vals``, whose indices lie in [0, width)."""
+    check_vector(v, width, "vector")
+    out = np.zeros(len(ptr) - 1)
+    _sparsetools.csr_matvec(len(out), width, ptr, idx, vals, v, out)
+    return out
 
 
 class _Lines:
@@ -103,14 +117,14 @@ class _Lines:
     ``lines`` is a row-major ndarray, or a scipy matrix in CSR form whose
     ``indptr``/``indices``/``data`` the store keeps; ``op`` is the operand
     for whole products and dense Gram rows; ``norms_sq`` gives a dense
-    operand's squared line norms.  ``finish`` builds the lookup tables once
-    the matrix has passed its zero-line check.  The Gram methods take the
-    other store, whose lines a sparse Gram row is scattered from.
+    operand's squared line norms.  ``count`` lines of ``width`` entries.
+    The Gram methods take the other store, whose lines a sparse Gram row is
+    accumulated from.
     """
 
     def __init__(self, kind: str, lines, op, norms_sq=None):
         self.kind = kind
-        self.count = lines.shape[0]
+        self.count, self.width = lines.shape
         self.op = op
         if sp.issparse(lines):
             self.block = None
@@ -119,45 +133,15 @@ class _Lines:
             self.indptr = lines.indptr.astype(np.intp)
             self.indices = lines.indices.astype(np.intp)
             self.data = lines.data
+            self.lengths = np.diff(self.indptr)
             norms_sq = _segment_sums(self.data**2, self.indptr, self.count)
         else:
             self.block = lines
         norms_sq.flags.writeable = False
         self.norms_sq = norms_sq
+        self.cum = np.cumsum(norms_sq)
         # memoized Gram rows: a (table, filled) pair allocated on first use
         self.memo = None
-
-    def finish(self):
-        self.cum = np.cumsum(self.norms_sq)
-        # padded (index, value) table of the batched dots; None selects the
-        # segmented path
-        self.pad = None if self.block is not None else self._build_padding()
-        # whether a batch of lines is cheaper to read as CSR segments: on a
-        # padded table under half full, most of a padded gather reads padding
-        self.gathers_segments = self.block is None and (
-            self.pad is None or 2 * self.indices.size < self.pad[0].size)
-
-    def _build_padding(self):
-        """Fixed-width (index, value) table for loop-free batched dots.
-
-        Padded gathers beat the segmented path on every matrix measured, so
-        both stay: this returns None only when padding would blow memory up
-        (one long line in an otherwise short-line matrix), and the segmented
-        path serves the store.  The guard counts entries, not bytes: each
-        entry is an intp index and a float64 value.
-        """
-        counts = np.diff(self.indptr)
-        width = int(counts.max())
-        if self.count * width > 16 * self.indices.size + (1 << 22):
-            return None
-        pad_idx = np.zeros((self.count, width), dtype=np.intp)
-        pad_val = np.zeros((self.count, width), dtype=np.float64)
-        flat = _concat_ranges(self.indptr[:-1], counts)
-        lane = np.arange(len(flat)) - np.repeat(self.indptr[:-1], counts)
-        line = np.repeat(np.arange(self.count), counts)
-        pad_idx[line, lane] = self.indices[flat]
-        pad_val[line, lane] = self.data[flat]
-        return pad_idx, pad_val
 
     def check(self, k: int):
         if not 0 <= k < self.count:
@@ -169,26 +153,35 @@ class _Lines:
         s, e = self.indptr[k], self.indptr[k + 1]
         return float(self.data[s:e] @ v[self.indices[s:e]])
 
-    def segments(self, ids: np.ndarray):
+    def segments(self, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Values and indices of lines ``ids``, concatenated, and the offsets
-        of each line's segment (line r at ``offsets[r]:offsets[r + 1]``)."""
-        starts = self.indptr[ids]
-        counts = self.indptr[ids + 1] - starts
-        flat = _concat_ranges(starts, counts)
-        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return self.data[flat], self.indices[flat], offsets
+        of each line's segment (line r at ``offsets[r]:offsets[r + 1]``).
 
-    def dots(self, ids: np.ndarray, v: np.ndarray) -> np.ndarray:
+        Every id is checked first: ``csr_row_index`` reads line ``ids[r]``
+        through ``indptr`` unchecked, and an id past either end reads
+        outside it.
+        """
+        ids = np.asarray(ids).astype(np.intp, casting="safe", copy=False)
+        if ids.size and (ids.min() < 0 or ids.max() >= self.count):
+            bad = ids[(ids < 0) | (ids >= self.count)][0]
+            raise IndexOutOfRange(f"{self.kind} index {bad} outside [0, {self.count})")
+        return self._gather(ids)
+
+    def _gather(self, ids: np.ndarray):
+        """``segments`` of intp ``ids`` already known to lie in [0, count)."""
+        offsets = np.zeros(len(ids) + 1, dtype=np.intp)
+        np.add.accumulate(self.lengths[ids], out=offsets[1:])
+        idx = np.empty(offsets[-1], dtype=np.intp)
+        vals = np.empty(offsets[-1])
+        _sparsetools.csr_row_index(len(ids), ids, self.indptr, self.indices, self.data,
+                                   idx, vals)
+        return vals, idx, offsets
+
+    def dots(self, ids, v: np.ndarray) -> np.ndarray:
         if self.block is not None:
             return self.block[ids] @ v
-        if self.pad is not None:
-            idx, val = self.pad
-            return np.einsum("ij,ij->i", val[ids], v[idx[ids]])
         vals, idx, offsets = self.segments(ids)
-        if not vals.size:
-            return np.zeros(len(ids))
-        return np.add.reduceat(vals * v[idx], offsets[:-1])
+        return _csr_dots(offsets, idx, vals, v, self.width)
 
     def add_to(self, out: np.ndarray, k: int, c: float):
         if self.block is not None:
@@ -201,15 +194,17 @@ class _Lines:
     def gram_update(self, other: _Lines, out: np.ndarray, k: int, c: float):
         """out += c * G[k] for this store's Gram matrix G, G[k] memoized.
 
-        A store whose p x p table (p = len(out)) would exceed
-        ``GRAM_MEMO_ENTRIES`` entries runs ``gram_kernel`` on every call.  A
-        miss runs it once with c = 1.0 into a zeroed table row, which holds
-        the kernel's product exactly; every call then adds c times that row,
-        so results do not depend on whether the memo is warm.
+        A store whose p x p table (p = ``count``, the length of ``out``)
+        would exceed ``GRAM_MEMO_ENTRIES`` entries runs ``gram_kernel`` on
+        every call.  A miss runs it once with c = 1.0 into a zeroed table
+        row, which holds the kernel's product exactly; every call then adds
+        c times that row, so results do not depend on whether the memo is
+        warm.  ``out`` is checked before the memo is sized from it.
         """
+        check_vector(out, self.count, "out")
         memo = self.memo
         if memo is None:
-            p = out.shape[0]
+            p = self.count
             if p * p > GRAM_MEMO_ENTRIES:
                 self.gram_kernel(other, out, k, c)
                 return
@@ -225,20 +220,23 @@ class _Lines:
 
     def gram_kernel(self, other: _Lines, out: np.ndarray, k: int, c: float):
         """out += c * (op @ line k); touches only the lines of ``other`` where
-        line k is nonzero."""
+        line k is nonzero.
+
+        Sparse: those lines, gathered, are the columns of a CSC matrix with
+        ``len(out)`` rows, and ``csc_matvec`` adds it times c * line k into
+        ``out`` in place, entry by entry in gather order.
+        """
         if self.block is not None:
             out += c * (self.op @ self.block[k])
             return
+        check_vector(out, self.count, "out")
         s, e = self.indptr[k], self.indptr[k + 1]
+        # a line's indices were range-checked when the matrix was built: each
+        # lies in [0, other.count)
         hit = self.indices[s:e]
-        weights = c * self.data[s:e]
-        if other.pad is not None:
-            idx, val = other.pad
-            contrib = weights[:, None] * val[hit]
-            _scatter_add(out, idx[hit].ravel(), contrib.ravel())
-            return
-        vals, idx, offsets = other.segments(hit)
-        _scatter_add(out, idx, np.repeat(weights, np.diff(offsets)) * vals)
+        vals, idx, offsets = other._gather(hit)
+        _sparsetools.csc_matvec(len(out), len(hit), offsets, idx, vals, c * self.data[s:e],
+                                out)
 
 
 class RowColMatrix:
@@ -283,8 +281,6 @@ class RowColMatrix:
         self.col_norms_sq = self._col_lines.norms_sq
         self.frob_sq = float(self.row_norms_sq.sum())
         self._check_no_zero_lines()
-        self._row_lines.finish()
-        self._col_lines.finish()
         # denominators of the stacked-row criterion, shared by all solvers
         self.aug_row_norms_sq = 1.0 + self.row_norms_sq
         self.aug_row_norms_sq.flags.writeable = False
@@ -360,13 +356,20 @@ class RowColMatrix:
 
         Returns ``(values, cols, offsets)`` with row ``rows[r]`` stored at
         ``offsets[r]:offsets[r + 1]``, so that ``np.add.reduceat(values *
-        x[cols], offsets[:-1])`` gives the row dots.  Returns None where
-        ``rows_dot`` is the cheaper way to score rows: dense storage, and a
-        sparse matrix whose padded row table is at least half full.
+        x[cols], offsets[:-1])`` gives the row dots, and so does
+        ``segment_dots``.  Returns None on dense storage, where ``rows_dot``
+        is the way to score rows.
         """
-        if not self._row_lines.gathers_segments:
+        if not self.is_sparse:
             return None
         return self._row_lines.segments(rows)
+
+    def segment_dots(self, segments, r0: int, r1: int, x: np.ndarray) -> np.ndarray:
+        """A^(i) . x for the rows at positions r0:r1 of a ``row_segments``
+        batch, read from its arrays in place.  ``segments`` must be returned
+        by ``row_segments`` unchanged: its indices and offsets are trusted."""
+        values, cols, offsets = segments
+        return _csr_dots(offsets[r0:r1 + 1], cols, values, x, self.n)
 
     def rows_dot(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         """A^(i) . x for a batch of rows (one vector op, no Python loop)."""

@@ -43,7 +43,7 @@ import numpy as np
 
 from .diagnostics import BoundReport
 from .errors import ZeroResidual
-from .matrix import RowColMatrix, as_vector
+from .matrix import RowColMatrix, as_vector, check_vector
 from .sampling import (
     RngStream,
     grak_residual_sample,
@@ -407,9 +407,10 @@ class _SubsetBlock:
     ``simple_random_subset`` would have returned at that point of the
     stream.  Per subset, the block gathers the right-hand side entries and
     inverse stacked norms of its rows and the squared norms of its columns,
-    and, where ``row_segments`` serves the matrix, the CSR segments of its
-    rows, so a step gathers only the iterate entries.  A block belongs to
-    one system and one subset size; ``take`` scores the next unused subset.
+    and, on sparse storage, the CSR segments of its rows (``row_segments``):
+    ``take`` then scores a subset's rows with one compiled ``segment_dots``
+    call over the block's arrays.  A block belongs to one system and one
+    subset size; ``take`` scores the next unused subset.
     """
 
     def __init__(self, system, k: int, rng: RngStream):
@@ -425,14 +426,7 @@ class _SubsetBlock:
         self.rhs = system.b[self.rows]
         self.inv_norms = mat.inv_aug_row_norms_sq[self.rows]
         self.col_norms = mat.col_norms_sq[self.cols]
-        self.segments = None
-        segments = mat.row_segments(self.rows)
-        if segments is not None:
-            values, cols, offsets = segments
-            firsts = offsets[self.row_bounds]  # first entry of each subset
-            # row starts counted from the first entry of their subset
-            starts = offsets[:-1] - np.repeat(firsts[:-1], row_counts)
-            self.segments = (values, cols, starts, firsts.tolist())
+        self.segments = mat.row_segments(self.rows)
         self.used = 0
 
     @classmethod
@@ -450,8 +444,11 @@ class _SubsetBlock:
 
         Squaring preserves the argmax of the square-root criteria and keeps
         the hot loop free of square roots.  Rows win ties against columns.
-        Returns (None, 0.0) when every sampled criterion is zero.
+        Returns (None, 0.0) when every sampled criterion is zero.  ``x`` and
+        ``z`` are checked first: callers may assign them on the state.
         """
+        check_vector(x, self.mat.n, "x")
+        check_vector(z, self.mat.m, "z")
         j = self.used
         self.used += 1
         best_t = None
@@ -462,9 +459,7 @@ class _SubsetBlock:
             if self.segments is None:
                 dots = self.mat.rows_dot(rows, x)
             else:
-                values, cols, starts, firsts = self.segments
-                e0, e1 = firsts[j], firsts[j + 1]
-                dots = np.add.reduceat(values[e0:e1] * x[cols[e0:e1]], starts[r0:r1])
+                dots = self.mat.segment_dots(self.segments, r0, r1, x)
             crit = self.rhs[r0:r1] - z[rows]
             crit -= dots
             crit *= crit

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -97,23 +101,27 @@ def test_products_and_single_dots(rng):
 
 
 def test_batch_dots_segmented_path(rng):
-    # force the non-padded code path by dropping the padding tables
-    mat, dense = random_sparse_matrix(rng, 12, 8)
-    mat._row_lines.pad = None
-    mat._col_lines.pad = None
-    x = rng.standard_normal(8)
-    z = rng.standard_normal(12)
-    rows = np.array([2, 3, 11])
-    cols = np.array([0, 6, 7])
-    np.testing.assert_allclose(mat.rows_dot(rows, x), dense[rows] @ x, rtol=1e-12)
-    np.testing.assert_allclose(mat.cols_dot(cols, z), dense[:, cols].T @ z, rtol=1e-12)
-    out_m = z.copy()
-    mat.gram_row_update(out_m, 5, 0.7)
-    np.testing.assert_allclose(out_m, z + 0.7 * (dense @ dense[5]), rtol=1e-12, atol=1e-12)
-    out_n = x.copy()
-    mat.gram_col_update(out_n, 6, -1.3)
-    np.testing.assert_allclose(out_n, x - 1.3 * (dense.T @ dense[:, 6]), rtol=1e-12,
-                               atol=1e-12)
+    # batched dots and Gram updates on a small matrix and on one whose full
+    # first row and column make its lines uneven
+    uneven = _storage_matrix("segmented")
+    for mat, dense in (random_sparse_matrix(rng, 12, 8), (uneven, uneven.to_dense())):
+        m, n = dense.shape
+        x = rng.standard_normal(n)
+        z = rng.standard_normal(m)
+        rows = np.array([0, 2, 3, m - 1])
+        cols = np.array([0, 6, 7, n - 1])
+        np.testing.assert_allclose(mat.rows_dot(rows, x), dense[rows] @ x, rtol=1e-12)
+        np.testing.assert_allclose(mat.cols_dot(cols, z), dense[:, cols].T @ z, rtol=1e-12)
+        np.testing.assert_allclose(mat.segment_dots(mat.row_segments(rows), 1, 3, x),
+                                   dense[rows[1:3]] @ x, rtol=1e-12)
+        out_m = z.copy()
+        mat.gram_row_update(out_m, 5, 0.7)
+        np.testing.assert_allclose(out_m, z + 0.7 * (dense @ dense[5]), rtol=1e-12,
+                                   atol=1e-12)
+        out_n = x.copy()
+        mat.gram_col_update(out_n, 6, -1.3)
+        np.testing.assert_allclose(out_n, x - 1.3 * (dense.T @ dense[:, 6]), rtol=1e-12,
+                                   atol=1e-12)
 
 
 def test_gram_updates_match_dense(rng):
@@ -161,18 +169,25 @@ def test_gram_memo_dense_miss_and_hit_bit_identical(rng):
 
 
 def test_gram_memo_sparse_padded_and_segmented(rng):
-    for segmented in (False, True):
-        mat, dense = random_sparse_matrix(rng, 13, 6)
-        if segmented:
-            mat._row_lines.pad = mat._col_lines.pad = None
-        grams = (dense @ dense.T, dense.T @ dense)
-        for (update, lines, _, p, k), gram in zip(_gram_sides(mat), grams):
+    # the 12000 x 500 matrix's full row and column give Gram updates of more
+    # than 4,096 entries on both sides; its row side is past the memo's cap
+    small = random_sparse_matrix(rng, 13, 6)
+    uneven = _storage_matrix("segmented")
+    for mat, dense, ks in ((*small, (4, 2)), (uneven, uneven.to_dense(), (0, 0))):
+        for (update, lines, other, p, _), k in zip(_gram_sides(mat), ks):
+            gram_k = dense @ dense[k] if lines is mat._row_lines else dense.T @ dense[:, k]
+            if mat is uneven:
+                hit = lines.indices[lines.indptr[k]:lines.indptr[k + 1]]
+                assert other.lengths[hit].sum() > 4096
             for c in (0.7, -1.3):
                 out = rng.standard_normal(p)
-                expected = out + c * gram[k]
+                expected = out + c * gram_k
                 update(out, k, c)
                 np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
-            assert lines.memo[1][k]
+            if p * p <= kl.matrix.GRAM_MEMO_ENTRIES:
+                assert lines.memo[1][k]
+            else:
+                assert lines.memo is None
 
 
 def test_gram_memo_respects_size_cap(rng, monkeypatch):
@@ -230,9 +245,9 @@ def test_run_reports_do_not_depend_on_a_warm_memo():
 def _uneven_sparse(m, n, seed):
     """Sparse m x n matrix, density 0.005 plus a full first row and column.
 
-    At 12000 x 500 the long lines make both padded tables too large
-    (m * n > 16 nnz + 2^22), so every batched dot and Gram update runs the
-    segmented kernels.
+    At 12000 x 500 the lines are very uneven (one of 500 entries among rows
+    of about 3.5), and a Gram update through a full line adds more than
+    4,096 entries.
     """
     base = sp.random(m, n, density=0.005, format="coo", random_state=seed)
     rows = np.concatenate([base.row, np.zeros(n, dtype=np.int64), np.arange(m)])
@@ -266,9 +281,10 @@ def _transpose_pairs(mat, mat_t, rng):
 
 
 def _storage_matrix(storage):
-    """A matrix whose stores are dense blocks, padded sparse tables, CSR
-    segments only, or CSR arrays built from triplets with repeated
-    coordinates."""
+    """A matrix whose stores are dense blocks or CSR arrays: "padded" has
+    short lines of even length, "segmented" the uneven 12000 x 500 lines of
+    ``_uneven_sparse``, and "duplicates" is built from triplets with
+    repeated coordinates."""
     if storage == "padded":
         return kl.gen_sparse_gaussian(300, 40, 0.1, seed=5)
     if storage == "segmented":
@@ -290,9 +306,7 @@ def test_sparse_index_arrays_are_intp(storage):
     mat = _storage_matrix(storage)
     ids = np.arange(3)
     for lines in (mat._row_lines, mat._col_lines):
-        arrays = [lines.indptr, lines.indices, lines.segments(ids)[1]]
-        if lines.pad is not None:
-            arrays.append(lines.pad[0])
+        arrays = [lines.indptr, lines.indices, lines.lengths, *lines.segments(ids)[1:]]
         assert [a.dtype for a in arrays] == [np.dtype(np.intp)] * len(arrays)
     assert mat.row_segments(ids)[1].dtype == np.intp
 
@@ -321,11 +335,53 @@ def test_sparse_columns_are_rows_of_the_transpose(storage):
     # give the row primitive's result on the transposed matrix, bit for bit
     mat = _storage_matrix(storage)
     mat_t = build_matrix(mat._csr.T)
-    for m in (mat, mat_t):
-        for lines in (m._row_lines, m._col_lines):
-            assert (lines.pad is None) == (storage == "segmented")
     for got, expected in _transpose_pairs(mat, mat_t, np.random.default_rng(6)):
         np.testing.assert_array_equal(got, expected)
+
+
+# The compiled sparse loops check no bounds: unguarded, a bad index or a
+# short vector reads or writes outside an array, or kills the interpreter.
+# So each call runs in a child process, where a missing guard fails the test
+# instead of crashing the test run.
+_GUARD_SETUP = """
+import numpy as np, scipy.sparse as sp, kaczlab as kl
+from kaczlab.solvers import _SubsetBlock
+mat = kl.build_matrix(sp.csr_matrix([[1.0, 0, 2], [0, 3, 0], [4, 0, 0], [0, 5, 6]]))
+block = _SubsetBlock(kl.LinearSystem(mat, np.ones(4)), 7, kl.RngStream(0))
+"""
+_GUARDED_CALLS = {
+    "row id past the end": "mat.rows_dot(np.array([0, 4]), np.zeros(3))",
+    "row id -1": "mat.rows_dot(np.array([-1, 0]), np.zeros(3))",
+    "column id past the end": "mat.cols_dot(np.array([3]), np.zeros(4))",
+    "segments of a row past the end": "mat.row_segments(np.array([4]))",
+}
+_GUARDED_VECTORS = {
+    "short vector": "mat.rows_dot(np.array([0, 1]), np.zeros(2))",
+    "float32 vector": "mat.cols_dot(np.array([0]), np.zeros(4, dtype=np.float32))",
+    "short Gram output, memoized": "mat.gram_row_update(np.zeros(2), 3, 1.0)",
+    "short Gram output, unmemoized": ("kl.matrix.GRAM_MEMO_ENTRIES = 0\n"
+                                      "mat.gram_row_update(np.zeros(2), 3, 1.0)"),
+    "float32 Gram output": "mat.gram_col_update(np.zeros(3, dtype=np.float32), 0, 1.0)",
+    "short x for segment dots": ("mat.segment_dots(mat.row_segments(np.arange(4)), 0, 4,"
+                                 " np.zeros(2))"),
+    "short x in take": "block.take(np.zeros(2), np.zeros(4))",
+    "float32 x in take": "block.take(np.zeros(3, dtype=np.float32), np.zeros(4))",
+    "long z in take": "block.take(np.zeros(3), np.zeros(5))",
+}
+
+
+@pytest.mark.parametrize("case,expected", [
+    *((case, "IndexOutOfRange") for case in _GUARDED_CALLS),
+    *((case, "ValueError") for case in _GUARDED_VECTORS)])
+def test_sparse_kernels_reject_bad_input(case, expected):
+    call = {**_GUARDED_CALLS, **_GUARDED_VECTORS}[case]
+    code = (f"{_GUARD_SETUP}\ntry:\n    " + call.replace("\n", "\n    ")
+            + "\nexcept Exception as exc:\n    print(type(exc).__name__)\n"
+            "else:\n    print('no error')\n")
+    src = Path(kl.__file__).resolve().parent.parent
+    child = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                           text=True, timeout=120)
+    assert (child.returncode, child.stdout.strip()) == (0, expected), child.stderr
 
 
 def test_dense_columns_are_rows_of_the_transpose(rng):

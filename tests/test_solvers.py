@@ -124,8 +124,8 @@ def naive_sampled(A, b, iters, seed, eta_s):
 
 
 def _skewed_sparse(rng, m, n):
-    """Sparse matrix whose padded row table is under half full: most rows
-    hold one or two entries, every tenth row all n."""
+    """Sparse matrix of uneven rows: most hold one or two entries, every
+    tenth row all n."""
     dense = np.zeros((m, n))
     for i in range(m):
         width = n if i % 10 == 0 else 1 + i % 2
@@ -135,7 +135,7 @@ def _skewed_sparse(rng, m, n):
 
 
 def _banded_sparse(rng, m, n):
-    """Sparse matrix whose padded row table is full: three entries a row."""
+    """Sparse matrix of even rows: three entries a row."""
     dense = np.zeros((m, n))
     for i in range(m):
         dense[i, (i + np.arange(3)) % n] = rng.standard_normal(3)
@@ -145,9 +145,9 @@ def _banded_sparse(rng, m, n):
 
 def _parity_matrices(rng, m=90, n=12):
     dense = rng.standard_normal((m, n))
-    return {"sparse, under half full": (*_skewed_sparse(rng, m, n), True),
-            "sparse, full": (*_banded_sparse(rng, m, n), False),
-            "dense": (build_matrix(dense), dense, False)}
+    return {"sparse, uneven rows": _skewed_sparse(rng, m, n),
+            "sparse, even rows": _banded_sparse(rng, m, n),
+            "dense": (build_matrix(dense), dense)}
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +458,10 @@ def test_sampled_converged_on_exact_solution():
 def test_sampled_block_criterion_matches_dense(rng):
     # every subset of a block is scored as (b_i - z_i - A^(i) x)^2 /
     # (1 + ||A^(i)||^2) on rows and (A_(j) . z)^2 / ||A_(j)||^2 on columns
-    for name, (mat, dense, segmented) in _parity_matrices(rng).items():
+    for name, (mat, dense) in _parity_matrices(rng).items():
         m, n = dense.shape
         system = kl.LinearSystem(mat, rng.standard_normal(m))
-        assert (mat.row_segments(np.arange(m)) is not None) == segmented, name
+        assert (mat.row_segments(np.arange(m)) is not None) == mat.is_sparse, name
         x, z = rng.standard_normal(n), rng.standard_normal(m)
         row_crit = (system.b - z - dense @ x) ** 2 / (1.0 + (dense * dense).sum(1))
         col_crit = (z @ dense) ** 2 / (dense * dense).sum(0)
@@ -483,7 +483,7 @@ def test_sampled_block_criterion_matches_dense(rng):
 
 
 def test_sampled_matches_naive(rng):
-    for name, (mat, dense, _) in _parity_matrices(rng).items():
+    for name, (mat, dense) in _parity_matrices(rng).items():
         b = rng.standard_normal(dense.shape[0])
         system = kl.LinearSystem(mat, b)
         for eta_s in (0.05, 0.5):

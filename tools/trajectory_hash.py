@@ -23,9 +23,9 @@ So a change that only rounds differently keeps ``picks`` and moves
 Trajectories: each engine runs ``STEPS`` steps from ``init_state`` for each
 seed in ``SEEDS`` on a dense 200x50, a sparse 3000x60, a sparse 12000x500
 and an N=16 tomography system.  The 12000x500 matrix has one full row and
-one full column, so it is too uneven for either padded table and its batched
-dots and Gram updates run the segmented kernels, which no benchmark
-workload reaches.  On the two Gaussian systems, one ``lise`` run per
+one full column among short lines, so its batched dots and Gram updates
+read lines of very uneven length, and a Gram update through a full line adds
+tens of thousands of entries.  On the two Gaussian systems, one ``lise`` run per
 engine adds its report.  On the dense system, one run per other stopping
 rule kind adds its report the same way.
 """
