@@ -96,7 +96,7 @@ def _parse_angles(text: str) -> tuple[float, ...]:
 
 
 def _assemble_system(args) -> LinearSystem:
-    if getattr(args, "matrix", None):
+    if args.matrix is not None:
         mat = read_matrix_market(args.matrix)
         provenance = args.matrix
     else:
@@ -269,8 +269,9 @@ def cmd_gen(args) -> int:
 
 
 def _add_problem_flags(p: argparse.ArgumentParser):
-    p.add_argument("--matrix", help="Matrix Market file to load")
-    p.add_argument("--gen", help="generator spec: gaussian:MxN or sparse:MxN:DENSITY")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--matrix", help="Matrix Market file to load")
+    source.add_argument("--gen", help="generator spec: gaussian:MxN or sparse:MxN:DENSITY")
     p.add_argument("--rhs", choices=("nullspace", "randn"), default="nullspace",
                    help="right-hand side: planted solution plus orthogonal noise, "
                         "or plain standard-normal entries")
@@ -361,13 +362,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "func", None) in (cmd_solve, cmd_bench):
-        if not args.matrix and not args.gen:
-            print("error: one of --matrix or --gen is required", file=sys.stderr)
-            return 2
-        if args.matrix and args.gen:
-            print("error: --matrix and --gen are mutually exclusive", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except (FileNotFoundError, IsADirectoryError, ParseError, UnsupportedField,

@@ -27,7 +27,8 @@ from .matrix import RowColMatrix
 
 __all__ = ["BoundReport", "lambda_min_oracle", "compute_bounds", "speedup"]
 
-DEFAULT_ORACLE_SIZE_LIMIT = 2000
+# largest min(m, n) the dense eigen-oracle accepts
+_ORACLE_SIZE_LIMIT = 2000
 
 # eigenvalues below this fraction of ||A||_F^2 count as numerically zero
 _EIG_CUTOFF = 1e-10
@@ -53,16 +54,17 @@ class BoundReport:
         return out
 
 
-def lambda_min_oracle(mat: RowColMatrix, size_limit: int = DEFAULT_ORACLE_SIZE_LIMIT) -> float:
+def lambda_min_oracle(mat: RowColMatrix) -> float:
     """Smallest nonzero eigenvalue of A^T A via a dense symmetric eigensolve.
 
     Works on the smaller Gram matrix (A^T A or A A^T, same nonzero spectrum)
-    and refuses matrices whose smaller dimension exceeds ``size_limit``.
+    and raises ``OracleUnavailable``, before any eigensolve, on a matrix
+    whose smaller dimension exceeds 2000 (``_ORACLE_SIZE_LIMIT``).
     """
     k = min(mat.m, mat.n)
-    if k > size_limit:
+    if k > _ORACLE_SIZE_LIMIT:
         raise OracleUnavailable(
-            f"min(m, n) = {k} exceeds the eigen-oracle limit {size_limit}"
+            f"min(m, n) = {k} exceeds the eigen-oracle limit {_ORACLE_SIZE_LIMIT}"
         )
     if mat.is_sparse:
         csr = mat._csr
@@ -78,19 +80,14 @@ def lambda_min_oracle(mat: RowColMatrix, size_limit: int = DEFAULT_ORACLE_SIZE_L
     return float(nonzero.min())
 
 
-def compute_bounds(mat: RowColMatrix, lambda_min=None,
-                   size_limit: int = DEFAULT_ORACLE_SIZE_LIMIT) -> BoundReport:
+def compute_bounds(mat: RowColMatrix) -> BoundReport:
     """Evaluate every computable rate constant for one matrix.
 
-    ``lambda_min`` may be a precomputed value, a callable taking the matrix,
-    or None to use the dense eigen-oracle.
+    The smallest nonzero eigenvalue of A^T A comes from
+    ``lambda_min_oracle``, so a matrix past its size limit raises
+    ``OracleUnavailable``.
     """
-    if lambda_min is None:
-        lam = lambda_min_oracle(mat, size_limit=size_limit)
-    elif callable(lambda_min):
-        lam = float(lambda_min(mat))
-    else:
-        lam = float(lambda_min)
+    lam = lambda_min_oracle(mat)
     fro_sq = mat.frob_sq
     stacked = 2.0 * fro_sq + mat.m
     eta = min(1.0, (math.sqrt(lam + 0.25) - 0.5) ** 2)

@@ -199,8 +199,11 @@ class _Lines:
         every call.  A miss runs it once with c = 1.0 into a zeroed table
         row, which holds the kernel's product exactly; every call then adds
         c times that row, so results do not depend on whether the memo is
-        warm.  ``out`` is checked before the memo is sized from it.
+        warm.  ``k`` and ``out`` are checked before the memo is touched: a
+        sparse line read through a negative ``k`` is empty, and its zero row
+        would be memoized as filled.
         """
+        self.check(k)
         check_vector(out, self.count, "out")
         memo = self.memo
         if memo is None:
@@ -266,8 +269,6 @@ class RowColMatrix:
             if shape is None:
                 raise ValueError("triplet input requires an explicit shape")
             vals = np.asarray(vals, dtype=np.float64)
-            if vals.size and not np.all(np.isfinite(vals)):
-                raise NonFiniteEntry("matrix entries contain NaN or Inf")
             coo = sp.coo_matrix((vals, (rows, cols)), shape=shape)
             self._init_sparse(coo)
         else:
@@ -379,7 +380,7 @@ class RowColMatrix:
         """A_(j) . z for a batch of columns."""
         return self._col_lines.dots(cols, z)
 
-    # -- in-place rank-one style updates (hot path; no index checks) --------
+    # -- in-place updates (hot path; only the Gram updates check indices) ---
 
     def add_row_to(self, out: np.ndarray, i: int, c: float):
         """out += c * A^(i) with out of length n."""

@@ -257,14 +257,15 @@ def gen_sparse_gaussian(m: int, n: int, density: float, seed: int) -> RowColMatr
 # ---------------------------------------------------------------------------
 
 
-def reference_solution(mat: RowColMatrix, b, oracle_tol: float = DEFAULT_ORACLE_TOL,
-                       max_iters: int | None = None):
+def reference_solution(mat: RowColMatrix, b, oracle_tol: float = DEFAULT_ORACLE_TOL):
     """Least-norm least-squares solution and its orthogonal remainder.
 
     Runs conjugate gradient on the normal equations starting from zero, so
     the iterate stays in range(A^T) and converges to the pseudoinverse
     solution.  Returns ``(x_star, z_star)`` with ``z_star = b - A x_star``
-    and ``||A^T z_star|| <= oracle_tol * ||A||_F * ||b||``.
+    and ``||A^T z_star|| <= oracle_tol * ||A||_F * ||b||``.  CG gets
+    4 min(m, n) + 200 iterations in all, over at most five restarts from
+    the recomputed residual; past that it raises ``OracleNotConverged``.
     """
     b = as_vector(b, length=mat.m, name="b")
     bnorm = float(np.linalg.norm(b))
@@ -272,8 +273,7 @@ def reference_solution(mat: RowColMatrix, b, oracle_tol: float = DEFAULT_ORACLE_
     if bnorm == 0.0:
         return x, b.copy()
     target = oracle_tol * math.sqrt(mat.frob_sq) * bnorm
-    if max_iters is None:
-        max_iters = 4 * min(mat.m, mat.n) + 200
+    max_iters = 4 * min(mat.m, mat.n) + 200
     used = 0
     r = b.copy()
     for _ in range(5):

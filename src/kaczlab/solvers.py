@@ -34,7 +34,6 @@ full residuals, so they never fill the memo; that is their point.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -544,9 +543,6 @@ class RunReport:
         if self.bounds is not None:
             out["bounds"] = self.bounds.to_dict()
         return out
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def _rse(x: np.ndarray, x_star) -> float | None:

@@ -10,13 +10,12 @@ indexed ``image[gy, gx]``.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateGeometry
-from .matrix import RowColMatrix, build_matrix
+from .matrix import build_matrix
 
 __all__ = ["TomoSpec", "gen_paralleltomo", "phantom_image"]
 
@@ -69,19 +68,23 @@ def phantom_image(size: int) -> np.ndarray:
     return img
 
 
-def gen_paralleltomo(spec: TomoSpec, strict: bool = False):
+def gen_paralleltomo(spec: TomoSpec):
     """Build the projection matrix and the flattened phantom.
 
     Returns ``(mat, x_true)`` with ``x_true`` the phantom flattened
-    column-major.  Rays that miss the grid would produce zero rows; with the
-    default offsets none do, but if any arise they are dropped with a warning
-    (``strict=True`` raises instead).  A pixel no ray touches is a zero
-    column and fails matrix construction.
+    column-major.  No row is zero: the ray offsets span [-(N-1)/2, (N-1)/2],
+    so every ray passes within (N-1)/2 of the centre, inside the grid's
+    inscribed circle of radius N/2, on a chord through that circle at least
+    sqrt(2N - 1) long.  A pixel no ray touches (a sparse geometry) is a
+    zero column and fails matrix construction with ``ZeroRowOrColumn``.  A
+    size below 2, no rays, no angles or a non-finite angle raises
+    ``DegenerateGeometry``.
     """
     n = spec.size
-    if n < 2 or spec.rays < 1 or len(spec.angles) < 1:
+    if (n < 2 or spec.rays < 1 or len(spec.angles) < 1
+            or not np.all(np.isfinite(spec.angles))):
         raise DegenerateGeometry(
-            f"need size >= 2, rays >= 1 and at least one angle, got {spec}"
+            f"need size >= 2, rays >= 1 and at least one angle, all finite, got {spec}"
         )
     half = n / 2.0
     offsets = _ray_offsets(n, spec.rays)
@@ -97,7 +100,9 @@ def gen_paralleltomo(spec: TomoSpec, strict: bool = False):
         cx = offsets * -np.sin(theta)
         cy = offsets * np.cos(theta)
 
-        # entry/exit parameters of each ray against the bounding square
+        # entry/exit parameters of each ray against the bounding square; a
+        # ray parallel to an axis lies inside that axis's slab (|c| <= (N-1)/2)
+        # and so is bounded by the other axis alone
         t_lo = np.full(spec.rays, -np.inf)
         t_hi = np.full(spec.rays, np.inf)
         crossings = []
@@ -108,13 +113,6 @@ def gen_paralleltomo(spec: TomoSpec, strict: bool = False):
                 t_lo = np.maximum(t_lo, np.minimum(t_a, t_b))
                 t_hi = np.minimum(t_hi, np.maximum(t_a, t_b))
                 crossings.append((grid[None, :] - c[:, None]) / d)
-            else:
-                # ray parallel to this axis: it must sit inside the slab
-                inside = np.abs(c) <= half
-                t_lo = np.where(inside, t_lo, np.inf)
-                t_hi = np.where(inside, t_hi, -np.inf)
-        t_lo = np.where(t_lo <= t_hi, t_lo, 0.0)
-        t_hi = np.where(t_lo <= t_hi, t_hi, 0.0)
 
         parts = [t_lo[:, None], t_hi[:, None]]
         for cr in crossings:
@@ -134,22 +132,7 @@ def gen_paralleltomo(spec: TomoSpec, strict: bool = False):
     cols = np.concatenate(cols_acc)
     vals = np.concatenate(vals_acc)
 
-    total_rows = spec.n_rows
-    hit = np.zeros(total_rows, dtype=bool)
-    hit[rows] = True
-    n_missed = int(total_rows - hit.sum())
-    if n_missed:
-        if strict:
-            raise DegenerateGeometry(f"{n_missed} rays miss the pixel grid")
-        warnings.warn(f"dropping {n_missed} rays that miss the pixel grid",
-                      stacklevel=2)
-        if n_missed == total_rows:
-            raise DegenerateGeometry("every ray misses the pixel grid")
-        remap = np.cumsum(hit) - 1
-        rows = remap[rows]
-        total_rows -= n_missed
-
-    mat = build_matrix((rows, cols, vals), shape=(total_rows, spec.n_cols))
+    mat = build_matrix((rows, cols, vals), shape=(spec.n_rows, spec.n_cols))
     x_true = phantom_image(spec.size).flatten(order="F")
     return mat, x_true
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,8 @@ def test_solve_flag_errors(capsys):
                         "--engine", "rek,grak")
     assert code == 2
     code, _, _ = _run(capsys, "solve")
+    assert code == 2
+    code, _, _ = _run(capsys, "solve", "--gen", "gaussian:10x5", "--matrix", "a.mtx")
     assert code == 2
     code, _, _ = _run(capsys, "solve", "--gen", "bogus:10x5")
     assert code == 2
@@ -239,6 +242,15 @@ def test_tomo_zero_iterations_unit_snr(capsys):
                         "--engine", "grak", "--no-reference")
     assert code == 0
     assert float(_parse_csv(out)[0]["SNR"]) == 1.0
+
+
+def test_tomo_non_finite_angle_exits_3_without_warning(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, "tomo", "--N", "6", "--p", "5", "--angles", "0,nan")
+    assert code == 3
+    assert out == "" and err.startswith("error:")
+    assert caught == []
 
 
 def test_reference_oracle_writes_nothing_home(capsys, tmp_path, monkeypatch):

@@ -209,6 +209,27 @@ def test_gram_memo_respects_size_cap(rng, monkeypatch):
     assert calls == [4, 4, 2, 2]
 
 
+@pytest.mark.parametrize("memo_entries", [kl.matrix.GRAM_MEMO_ENTRIES, 0])
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+def test_gram_update_rejects_out_of_range_index(storage, memo_entries, monkeypatch):
+    # a sparse line read through k = -1 is empty: memoized, it would leave a
+    # zero row marked filled under the last index
+    monkeypatch.setattr(kl.matrix, "GRAM_MEMO_ENTRIES", memo_entries)
+    sparse = kl.gen_sparse_gaussian(50, 8, 0.3, seed=1)
+    dense = sparse.to_dense()
+    mat = sparse if storage == "sparse" else build_matrix(dense)
+    for update, lines, _, p, _ in _gram_sides(mat):
+        gram = dense @ dense.T if p == mat.m else dense.T @ dense
+        for k in (-1, p):
+            with pytest.raises(IndexOutOfRange):
+                update(np.zeros(p), k, 1.0)
+        for k in (7, p - 1):
+            out = np.zeros(p)
+            update(out, k, 1.0)
+            np.testing.assert_allclose(out, gram[k], rtol=1e-12, atol=1e-12)
+        assert (lines.memo is None) == (memo_entries == 0)
+
+
 def test_gram_memo_untouched_by_rek_and_sampled():
     system = make_gaussian_system(60, 12, seed=23)
     for engine in ("rek", "sampled"):

@@ -61,25 +61,32 @@ def test_degenerate_geometry_rejected():
         gen_paralleltomo(TomoSpec(size=4, angles=(), rays=3))
     with pytest.raises(DegenerateGeometry):
         gen_paralleltomo(TomoSpec(size=4, angles=(0.0,), rays=0))
+    for angles in ((0.0, math.nan), (math.inf,), (-math.inf,)):
+        with pytest.raises(DegenerateGeometry):
+            gen_paralleltomo(TomoSpec(size=6, angles=angles, rays=5))
+
+
+EDGE_ANGLES = (0.0, 90.0, 45.0, 180.0, 1e-13, 179.999999999999, -30.0, 720.5)
 
 
 def test_all_rays_hit_default_geometry():
-    # default offsets keep every ray inside the grid at every angle
-    spec = TomoSpec(size=9, angles=tuple(np.arange(0.0, 179.0, 11.0)), rays=13)
-    mat, _ = gen_paralleltomo(spec)
-    assert mat.m == spec.n_rows
-
-
-def test_missing_rays_dropped_with_warning(monkeypatch):
-    from kaczlab import tomo as tomo_mod
-
-    # widen the detector so outer rays miss the grid at shallow angles;
-    # many angles keep every pixel covered despite the misses
-    monkeypatch.setattr(tomo_mod, "_ray_offsets",
-                        lambda size, rays: np.linspace(-size, size, rays))
-    spec = TomoSpec(size=6, angles=tuple(np.arange(0.0, 180.0, 10.0)), rays=9)
-    with pytest.warns(UserWarning):
-        mat, _ = gen_paralleltomo(spec)
-    assert mat.m < spec.n_rows
-    with pytest.raises(DegenerateGeometry):
-        gen_paralleltomo(spec, strict=True)
+    # every ray passes within (N-1)/2 of the centre, so it crosses the
+    # inscribed circle of radius N/2 on a chord of at least sqrt(2N - 1):
+    # no geometry gives a zero row.  Sparse geometries can leave a pixel
+    # uncovered, a zero column, which build_matrix reports after checking
+    # that no row is zero.
+    built = 0
+    for size in (2, 3, 7, 16):
+        for rays in (1, 2 * size + 3):
+            for angles in [(a,) for a in EDGE_ANGLES] + [EDGE_ANGLES]:
+                spec = TomoSpec(size=size, angles=angles, rays=rays)
+                try:
+                    mat, _ = gen_paralleltomo(spec)
+                except kl.ZeroRowOrColumn as exc:
+                    assert exc.kind == "column"
+                    continue
+                assert mat.m == spec.n_rows
+                chords = mat.matvec(np.ones(mat.n))
+                assert chords.min() >= math.sqrt(2 * size - 1) - 1e-9
+                built += 1
+    assert built >= 4
