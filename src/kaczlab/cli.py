@@ -5,8 +5,9 @@ Reports are delimited tables with a fixed column order
 documents carrying the full run metadata.  Identical invocations reproduce
 identical reports except for the wall-time column.
 
-Exit codes: 0 success, 2 bad flags, 3 ingestion failure, 4 oracle failure,
-5 run finished without converging (the report is still written).
+Exit codes: 0 success, 2 bad flags or any other typed error, 3 ingestion
+failure, 4 oracle failure, 5 run finished without converging (the report is
+still written).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .diagnostics import compute_bounds, speedup
 from .errors import (
     DegenerateGeometry,
     IncompleteRun,
+    KaczlabError,
     NonFiniteEntry,
     OracleNotConverged,
     OracleUnavailable,
@@ -93,6 +95,17 @@ def _parse_angles(text: str) -> tuple[float, ...]:
     if "," in text:
         return tuple(float(p) for p in text.split(","))
     return (float(text),)
+
+
+def _checked(cast, ok, rule: str):
+    """An argparse type: ``cast`` of the flag's text, which must pass ``ok``."""
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names it in "invalid float value"
+    return parse
 
 
 def _assemble_system(args) -> LinearSystem:
@@ -185,8 +198,8 @@ def _engine_list(text: str) -> list[str]:
 def cmd_solve(args) -> int:
     if len(_engine_list(args.engine)) > 1:
         raise ValueError("solve takes exactly one engine")
-    system = _assemble_system(args)
     rule = _make_rule(args)
+    system = _assemble_system(args)
     report = run(args.engine, system, rule=rule, max_iters=args.max_iters,
                  seed=args.seed, eta_s=args.eta, trace_path=args.trace)
     report.bounds = _maybe_bounds(args, system)
@@ -196,8 +209,8 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     engines = _engine_list(args.engine)
-    system = _assemble_system(args)
     rule = _make_rule(args)
+    system = _assemble_system(args)
     all_runs: dict[str, list] = {}
     for engine in engines:
         all_runs[engine] = [
@@ -293,8 +306,8 @@ def _add_run_flags(p: argparse.ArgumentParser, default_engine: str, stop_flags: 
     step-cap and bounds flags, which tomo's fixed budget has no use for."""
     p.add_argument("--engine", default=default_engine,
                    help=f"engine name(s), comma separated; one of {', '.join(ENGINES)}")
-    p.add_argument("--eta", type=float, default=0.01,
-                   help="sampling ratio of the sampled engine")
+    p.add_argument("--eta", type=_checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+                   default=0.01, help="sampling ratio of the sampled engine")
     if stop_flags:
         p.add_argument("--stop", choices=_CLI_STOP_KINDS, default="lise",
                        help="stopping rule")
@@ -305,7 +318,8 @@ def _add_run_flags(p: argparse.ArgumentParser, default_engine: str, stop_flags: 
                        help="override the evaluation cadence of the "
                             f"{', '.join(_PERIOD_KINDS[:-1])} and {_PERIOD_KINDS[-1]} rules "
                             "(lise checks every L)")
-        p.add_argument("--max-iters", type=int, default=1_000_000)
+        p.add_argument("--max-iters", type=_checked(int, lambda v: v >= 0, ">= 0"),
+                       default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     if stop_flags:
         p.add_argument("--bounds", action="store_true",
@@ -331,8 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="compare engines over seeded repetitions")
     _add_problem_flags(p_bench)
     _add_run_flags(p_bench, default_engine=",".join(ENGINES))
-    p_bench.add_argument("--reps", type=int, default=10,
-                         help="repetitions per engine (seeds seed+0..seed+reps-1)")
+    p_bench.add_argument("--reps", type=_checked(int, lambda v: v >= 1, ">= 1"),
+                         default=10, help="repetitions per engine (seeds seed+0..seed+reps-1)")
     p_bench.set_defaults(func=cmd_bench)
 
     p_tomo = sub.add_parser("tomo", help="parallel-beam reconstruction benchmark")
@@ -340,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tomo.add_argument("--angles", default="0:1:178",
                         help="projection angles, start:step:stop or a comma list")
     p_tomo.add_argument("--p", type=int, required=True, help="rays per angle")
-    p_tomo.add_argument("--iters", type=int, default=20000,
+    p_tomo.add_argument("--iters", type=_checked(int, lambda v: v >= 0, ">= 0"), default=20000,
                         help="fixed iteration budget per engine")
     _add_reference_flags(p_tomo)
     _add_run_flags(p_tomo, default_engine=",".join(ENGINES), stop_flags=False)
@@ -372,7 +386,7 @@ def main(argv=None) -> int:
             ReferenceUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, KaczlabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -134,7 +134,10 @@ class _Lines:
             self.indices = lines.indices.astype(np.intp)
             self.data = lines.data
             self.lengths = np.diff(self.indptr)
-            norms_sq = _segment_sums(self.data**2, self.indptr, self.count)
+            # a square past float64's range is inf, as a dense store's einsum
+            # gives it, without a warning
+            with np.errstate(over="ignore"):
+                norms_sq = _segment_sums(self.data**2, self.indptr, self.count)
         else:
             self.block = lines
         norms_sq.flags.writeable = False
@@ -299,12 +302,13 @@ class RowColMatrix:
                                  np.einsum("ij,ij->j", dense, dense))
 
     def _init_sparse(self, coo: sp.coo_matrix):
-        if coo.data.size and not np.all(np.isfinite(coo.data)):
+        csr = coo.tocsr()
+        csr.sum_duplicates()
+        # checked after summing: finite duplicates can sum past float64's range
+        if not np.all(np.isfinite(csr.data)):
             raise NonFiniteEntry("matrix entries contain NaN or Inf")
         self.is_sparse = True
         self.m, self.n = coo.shape
-        csr = coo.tocsr()
-        csr.sum_duplicates()
         csr.eliminate_zeros()
         self.nnz = int(csr.nnz)
         self._rows, self._csr = None, csr
@@ -352,25 +356,20 @@ class RowColMatrix:
         """A_(j) . z for one column."""
         return self._col_lines.dot(j, z)
 
-    def row_segments(self, rows: np.ndarray):
-        """CSR values, column indices and segment offsets of a batch of rows.
+    def row_scorer(self, rows: np.ndarray):
+        """A scorer of a batch of rows: ``score(r0, r1, x)`` returns A^(i) . x
+        for the rows at positions r0:r1 of ``rows``.
 
-        Returns ``(values, cols, offsets)`` with row ``rows[r]`` stored at
-        ``offsets[r]:offsets[r + 1]``, so that ``np.add.reduceat(values *
-        x[cols], offsets[:-1])`` gives the row dots, and so does
-        ``segment_dots``.  Returns None on dense storage, where ``rows_dot``
-        is the way to score rows.
+        On sparse storage the rows' CSR segments are gathered once, here,
+        after every id is checked, and each call dots a run of them with x in
+        one compiled loop; the gathered arrays stay inside the scorer, so no
+        caller can hand the loop indices of its own.  On dense storage each
+        call is ``rows_dot`` on the slice, looked up when called.
         """
         if not self.is_sparse:
-            return None
-        return self._row_lines.segments(rows)
-
-    def segment_dots(self, segments, r0: int, r1: int, x: np.ndarray) -> np.ndarray:
-        """A^(i) . x for the rows at positions r0:r1 of a ``row_segments``
-        batch, read from its arrays in place.  ``segments`` must be returned
-        by ``row_segments`` unchanged: its indices and offsets are trusted."""
-        values, cols, offsets = segments
-        return _csr_dots(offsets[r0:r1 + 1], cols, values, x, self.n)
+            return lambda r0, r1, x: self.rows_dot(rows[r0:r1], x)
+        values, cols, offsets = self._row_lines.segments(rows)
+        return lambda r0, r1, x: _csr_dots(offsets[r0:r1 + 1], cols, values, x, self.n)
 
     def rows_dot(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         """A^(i) . x for a batch of rows (one vector op, no Python loop)."""

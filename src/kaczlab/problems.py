@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.io
 
 from .errors import (
     OracleNotConverged,
@@ -79,7 +80,11 @@ def read_matrix_market(path) -> RowColMatrix:
 
     Complex fields and skew/hermitian symmetries are rejected with
     :class:`UnsupportedField`.  Structural problems raise :class:`ParseError`
-    carrying the offending 1-based line number.
+    carrying the offending 1-based line number.  The size line is checked
+    before anything is allocated: it must declare rows and columns, a square
+    matrix if symmetric, no more values than the rest of the file holds (an
+    entry a line, a value a character) and entries enough to fill every row
+    and column (a mirrored entry fills two).
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.read().splitlines()
@@ -100,41 +105,44 @@ def read_matrix_market(path) -> RowColMatrix:
     if fmt == "array" and field == "pattern":
         raise ParseError(1, "array format cannot carry a pattern field")
 
-    # skip comments/blank lines to the size line
-    lineno = 1
-    while True:
-        lineno += 1
-        if lineno > len(lines):
-            raise ParseError(lineno, "missing size line")
-        stripped = lines[lineno - 1].strip()
-        if stripped and not stripped.startswith("%"):
-            break
-    size_parts = stripped.split()
+    # (line number, fields) of every line after the header that is neither
+    # blank nor a comment; the first is the size line
+    records = ((no, text.split()) for no, text in enumerate(map(str.strip, lines[1:]), 2)
+               if text and not text.startswith("%"))
+    lineno, size_parts = next(records, (len(lines) + 1, None))
+    if size_parts is None:
+        raise ParseError(lineno, "missing size line")
+    coordinate = fmt == "coordinate"
+    if len(size_parts) != 2 + coordinate:
+        raise ParseError(lineno, "coordinate size line needs 'm n nnz'" if coordinate
+                         else "array size line needs 'm n'")
+    try:
+        m, n, *nnz = (int(p) for p in size_parts)
+    except ValueError:
+        raise ParseError(lineno, "size line entries must be integers") from None
+    if m < 1 or n < 1:
+        raise ParseError(lineno, f"a {m} x {n} matrix has no rows or no columns")
+    if symmetry == "symmetric" and m != n:
+        raise ParseError(lineno, f"symmetric {fmt} matrix must be square")
+    if coordinate:
+        expected, room = nnz[0], len(lines) - lineno
+    else:
+        expected = m * n if symmetry == "general" else n * (n + 1) // 2
+        room = sum(map(len, lines[lineno:]))
+    if not 0 <= expected <= room:
+        raise ParseError(lineno, f"{expected} values declared, room for at most {room}")
+    if coordinate and max(m, n) > expected * (1 + (symmetry == "symmetric")):
+        raise ParseError(lineno, f"{expected} entries leave a row or column of {m} x {n} empty")
 
-    def _entries():
-        no = lineno
-        for raw in lines[lineno:]:
-            no += 1
-            text = raw.strip()
-            if not text or text.startswith("%"):
-                continue
-            yield no, text.split()
-
-    if fmt == "coordinate":
-        if len(size_parts) != 3:
-            raise ParseError(lineno, "coordinate size line needs 'm n nnz'")
-        try:
-            m, n, nnz = (int(p) for p in size_parts)
-        except ValueError:
-            raise ParseError(lineno, "size line entries must be integers") from None
+    values = np.empty(expected, dtype=np.float64)
+    count = 0
+    if coordinate:
         needs_value = field != "pattern"
-        ri = np.empty(nnz, dtype=np.int64)
-        ci = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=np.float64)
-        count = 0
-        for no, parts in _entries():
-            if count >= nnz:
-                raise ParseError(no, f"more than the declared {nnz} entries")
+        ri = np.empty(expected, dtype=np.int64)
+        ci = np.empty(expected, dtype=np.int64)
+        for no, parts in records:
+            if count >= expected:
+                raise ParseError(no, f"more than the declared {expected} entries")
             if len(parts) != (3 if needs_value else 2):
                 raise ParseError(no, "malformed entry line")
             try:
@@ -144,29 +152,18 @@ def read_matrix_market(path) -> RowColMatrix:
                 raise ParseError(no, "malformed entry line") from None
             if not (1 <= i <= m and 1 <= j <= n):
                 raise ParseError(no, f"entry ({i}, {j}) outside {m} x {n}")
-            ri[count], ci[count], vals[count] = i - 1, j - 1, v
+            ri[count], ci[count], values[count] = i - 1, j - 1, v
             count += 1
-        if count != nnz:
-            raise ParseError(len(lines), f"declared {nnz} entries but found {count}")
+        if count != expected:
+            raise ParseError(len(lines), f"declared {expected} entries but found {count}")
         if symmetry == "symmetric":
             off = ri != ci
             ri, ci = np.concatenate([ri, ci[off]]), np.concatenate([ci, ri[off]])
-            vals = np.concatenate([vals, vals[off]])
-        return build_matrix((ri, ci, vals), shape=(m, n))
+            values = np.concatenate([values, values[off]])
+        return build_matrix((ri, ci, values), shape=(m, n))
 
     # array format: dense values in column-major order
-    if len(size_parts) != 2:
-        raise ParseError(lineno, "array size line needs 'm n'")
-    try:
-        m, n = (int(p) for p in size_parts)
-    except ValueError:
-        raise ParseError(lineno, "size line entries must be integers") from None
-    if symmetry == "symmetric" and m != n:
-        raise ParseError(lineno, "symmetric array matrix must be square")
-    expected = m * n if symmetry == "general" else n * (n + 1) // 2
-    values = np.empty(expected, dtype=np.float64)
-    count = 0
-    for no, parts in _entries():
+    for no, parts in records:
         for p in parts:
             if count >= expected:
                 raise ParseError(no, f"more than the expected {expected} values")
@@ -177,41 +174,27 @@ def read_matrix_market(path) -> RowColMatrix:
             count += 1
     if count != expected:
         raise ParseError(len(lines), f"expected {expected} values but found {count}")
-    dense = np.empty((m, n))
     if symmetry == "general":
-        dense[:] = values.reshape((m, n), order="F")
-    else:
-        pos = 0
-        for j in range(n):
-            span = n - j
-            dense[j:, j] = values[pos : pos + span]
-            dense[j, j:] = values[pos : pos + span]
-            pos += span
-    return build_matrix(dense)
+        return build_matrix(values.reshape((m, n), order="F"))
+    # the lower triangle column by column is the upper triangle row by row
+    upper = np.zeros((n, n))
+    upper[np.triu_indices(n)] = values
+    return build_matrix(np.where(np.tri(n, k=-1, dtype=bool), upper.T, upper))
 
 
 def write_matrix_market(path, mat: RowColMatrix, comment: str = ""):
-    """Write coordinate (sparse storage) or array (dense storage) format."""
-    with open(path, "w", encoding="ascii") as fh:
-        if mat.is_sparse:
-            fh.write("%%MatrixMarket matrix coordinate real general\n")
-            if comment:
-                fh.write(f"% {comment}\n")
-            fh.write(f"{mat.m} {mat.n} {mat.nnz}\n")
-            csr = mat._csr
-            indptr, indices, data = csr.indptr, csr.indices, csr.data
-            for i in range(mat.m):
-                for p in range(indptr[i], indptr[i + 1]):
-                    fh.write(f"{i + 1} {indices[p] + 1} {data[p]:.17g}\n")
-        else:
-            fh.write("%%MatrixMarket matrix array real general\n")
-            if comment:
-                fh.write(f"% {comment}\n")
-            fh.write(f"{mat.m} {mat.n}\n")
-            dense = mat.to_dense()
-            for j in range(mat.n):
-                for i in range(mat.m):
-                    fh.write(f"{dense[i, j]:.17g}\n")
+    """Write ``mat`` to exactly ``path`` with scipy's writer: ``coordinate real
+    general`` for sparse storage, ``array real general`` for dense, values in
+    shortest round-trip form, so :func:`read_matrix_market` reads them back
+    bit for bit.
+
+    ``symmetry="general"`` keeps scipy from storing one triangle of a
+    symmetric matrix, and the open binary handle keeps it from appending
+    ``.mtx`` to a path that lacks it.
+    """
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, mat._csr if mat.is_sparse else mat.to_dense(), comment=comment,
+                         field="real", symmetry="general")
 
 
 # ---------------------------------------------------------------------------

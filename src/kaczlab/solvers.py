@@ -406,10 +406,10 @@ class _SubsetBlock:
     ``simple_random_subset`` would have returned at that point of the
     stream.  Per subset, the block gathers the right-hand side entries and
     inverse stacked norms of its rows and the squared norms of its columns,
-    and, on sparse storage, the CSR segments of its rows (``row_segments``):
-    ``take`` then scores a subset's rows with one compiled ``segment_dots``
-    call over the block's arrays.  A block belongs to one system and one
-    subset size; ``take`` scores the next unused subset.
+    and the matrix's scorer of its rows (``row_scorer``), which on sparse
+    storage gathers their CSR segments once: ``take`` then scores a subset's
+    rows with one call.  A block belongs to one system and one subset size;
+    ``take`` scores the next unused subset.
     """
 
     def __init__(self, system, k: int, rng: RngStream):
@@ -425,7 +425,7 @@ class _SubsetBlock:
         self.rhs = system.b[self.rows]
         self.inv_norms = mat.inv_aug_row_norms_sq[self.rows]
         self.col_norms = mat.col_norms_sq[self.cols]
-        self.segments = mat.row_segments(self.rows)
+        self.score_rows = mat.row_scorer(self.rows)
         self.used = 0
 
     @classmethod
@@ -455,12 +455,8 @@ class _SubsetBlock:
         r0, r1 = self.row_bounds[j], self.row_bounds[j + 1]
         if r1 > r0:
             rows = self.rows[r0:r1]
-            if self.segments is None:
-                dots = self.mat.rows_dot(rows, x)
-            else:
-                dots = self.mat.segment_dots(self.segments, r0, r1, x)
             crit = self.rhs[r0:r1] - z[rows]
-            crit -= dots
+            crit -= self.score_rows(r0, r1, x)
             crit *= crit
             crit *= self.inv_norms[r0:r1]
             i = int(np.argmax(crit))
@@ -564,7 +560,8 @@ def _zres(state: SolverState, system) -> float:
 def run(engine: str, system, rule: StoppingRule | None = None,
         max_iters: int = 1_000_000, seed: int = 0, *, stream_id: int = 0,
         eta_s: float = 0.01, metrics_every: int = 0, trace_path=None) -> RunReport:
-    """Drive one engine until the stopping rule fires or max_iters is hit.
+    """Drive one engine until the stopping rule fires or max_iters (>= 0)
+    is hit.
 
     Wall time covers the iteration loop only (problem assembly and oracle
     work happen before).  ``metrics_every > 0`` records (k, RSE, normalized
@@ -574,6 +571,8 @@ def run(engine: str, system, rule: StoppingRule | None = None,
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     # looked up per call, so a step function rebound on the module is honoured
     stepper = {"rek": rek_step, "grak": grak_step, "agrak": agrak_step,
                "sampled": partial(sampled_step, eta_s=eta_s)}[engine]

@@ -53,7 +53,8 @@ class StoppingRule:
     ``window`` is the lag L of the windowed rule, which is also its
     evaluation cadence.  ``check_period`` overrides the cadence of the other
     rules (defaults: every iteration for ``aise``, ``8 * min(m, n)`` for
-    ``rek-native``, 400 for the rest); ``lise`` rejects it.
+    ``rek-native``, 400 for the rest) and must be at least 1; ``lise``
+    rejects it.
     """
 
     kind: str
@@ -68,6 +69,8 @@ class StoppingRule:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
         if self.window < 1:
             raise ValueError(f"window length must be >= 1, got {self.window}")
+        if self.check_period is not None and self.check_period < 1:
+            raise ValueError(f"check_period must be >= 1, got {self.check_period}")
         if self.kind == "lise" and self.check_period is not None:
             raise ValueError("the lise rule checks every window L; "
                              "check_period does not apply to it")

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import kaczlab as kl
 from kaczlab.sampling import STREAM_PLANTED
+
+# Property tests draw the same examples on every run (derandomize), write no
+# example database into the checkout, take no deadline (an example's wall
+# time drifts with the machine's load) and stay within a few seconds.
+settings.register_profile("kaczlab", derandomize=True, database=None, deadline=None,
+                          max_examples=150)
+settings.load_profile("kaczlab")
 
 
 def make_gaussian_system(m, n, seed, noise_scale=0.5, with_reference=True,

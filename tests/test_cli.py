@@ -120,6 +120,58 @@ def test_bad_engine_rejected_before_problem_is_built(capsys, monkeypatch):
         assert out == "" and err.startswith("error: "), argv
 
 
+_GEN = ("--gen", "gaussian:20x5")
+_TOMO = ("tomo", "--N", "6", "--p", "9")
+
+
+@pytest.mark.parametrize("argv", [
+    # each ended in a traceback with exit 1 ...
+    ("solve", *_GEN, "--engine", "sampled", "--eta", "0"),
+    ("solve", *_GEN, "--engine", "sampled", "--eta", "1.5"),
+    (*_TOMO, "--engine", "sampled", "--eta", "0"),
+    ("bench", *_GEN, "--engine", "rek,grak,agrak,sampled", "--eta", "0"),
+    ("bench", *_GEN, "--reps", "0"),
+    ("bench", *_GEN, "--reps", "-2"),
+    # ... or ran with the value quietly replaced or clamped
+    ("solve", *_GEN, "--stop", "rse", "--check-period", "0"),
+    ("solve", *_GEN, "--stop", "rse", "--check-period", "-3"),
+    ("solve", *_GEN, "--max-iters", "-4"),
+    (*_TOMO, "--iters", "-3"),
+], ids=" ".join)
+def test_bad_run_flags_exit_2_before_problem_is_built(capsys, monkeypatch, argv):
+    def built(*args, **kwargs):
+        raise AssertionError("problem built before the run flags were checked")
+
+    monkeypatch.setattr("kaczlab.cli.gen_gaussian", built)
+    monkeypatch.setattr("kaczlab.cli.gen_paralleltomo", built)
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
+def test_unmapped_typed_error_exits_2(capsys, monkeypatch):
+    def failing_run(*args, **kwargs):
+        raise kl.InvalidRatio("sampling ratio must be in (0, 1], got 0")
+
+    monkeypatch.setattr("kaczlab.cli.run", failing_run)
+    code, out, err = _run(capsys, "solve", *_GEN, "--no-reference")
+    assert code == 2
+    assert out == "" and err == "error: sampling ratio must be in (0, 1], got 0\n"
+
+
+@pytest.mark.parametrize("fmt,size", [("coordinate", "2 2 100000000000000"),
+                                      ("coordinate", "2 2 -1"), ("coordinate", "0 0 0"),
+                                      ("array", "100000000 100000000")])
+def test_size_line_the_file_cannot_hold_exits_3(capsys, tmp_path, fmt, size):
+    # the first and last allocated the declared size (MemoryError, exit 1);
+    # the other two exited 2 from the matrix constructor
+    path = tmp_path / "hostile.mtx"
+    path.write_text(f"%%MatrixMarket matrix {fmt} real general\n{size}\n1 1 1.0\n")
+    code, out, err = _run(capsys, "solve", "--matrix", str(path))
+    assert code == 3
+    assert out == "" and err.startswith("error: line 2: ") and err.count("\n") == 1
+
+
 def test_bench_rejects_repeated_engine(capsys):
     # each engine gets one row; a repeat used to report its second set of
     # runs in both rows
@@ -217,6 +269,15 @@ def test_gen_roundtrip(capsys, tmp_path):
                       "--out", str(dense_path))
     assert code == 0
     assert kl.read_matrix_market(str(dense_path)).m == 6
+    np.testing.assert_array_equal(kl.read_matrix_market(str(dense_path)).to_dense(),
+                                  kl.gen_gaussian(6, 4, seed=1).to_dense())
+
+    # the file is written at exactly the path given, whatever its suffix
+    code, _, _ = _run(capsys, "gen", "--gen", "sparse:50x8:0.2", "--seed", "5",
+                      "--out", str(tmp_path / "g.txt"))
+    assert code == 0
+    assert sorted(os.listdir(tmp_path)) == ["dense.mtx", "g.txt", "gen.mtx"]
+    assert (tmp_path / "g.txt").read_bytes() == out_path.read_bytes()
 
 
 def test_tomo_images_and_snr(capsys, tmp_path):

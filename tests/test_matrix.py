@@ -55,6 +55,19 @@ def test_nonfinite_rejected():
         build_matrix([[1.0, np.nan], [0.0, 2.0]])
     with pytest.raises(NonFiniteEntry):
         build_matrix((np.array([0]), np.array([0]), np.array([np.inf])), shape=(1, 1))
+    # finite duplicates that sum past float64's range were stored as inf
+    with pytest.raises(NonFiniteEntry):
+        build_matrix((np.array([0, 0]), np.array([0, 0]), np.array([1e308, 1e308])),
+                     shape=(1, 1))
+
+
+def test_overflowing_norms_match_across_storage():
+    # a square past float64's range is inf on both storages; the sparse
+    # store's numpy square warned RuntimeWarning where the dense einsum did not
+    dense = np.array([[1e300, 1.0], [2.0, 3.0]])
+    for mat in (build_matrix(dense), build_matrix(sp.csr_matrix(dense))):
+        np.testing.assert_array_equal(mat.row_norms_sq, [np.inf, 13.0])
+        np.testing.assert_array_equal(mat.col_norms_sq, [np.inf, 10.0])
 
 
 def test_triplet_duplicates_summed():
@@ -112,7 +125,7 @@ def test_batch_dots_segmented_path(rng):
         cols = np.array([0, 6, 7, n - 1])
         np.testing.assert_allclose(mat.rows_dot(rows, x), dense[rows] @ x, rtol=1e-12)
         np.testing.assert_allclose(mat.cols_dot(cols, z), dense[:, cols].T @ z, rtol=1e-12)
-        np.testing.assert_allclose(mat.segment_dots(mat.row_segments(rows), 1, 3, x),
+        np.testing.assert_allclose(mat.row_scorer(rows)(1, 3, x),
                                    dense[rows[1:3]] @ x, rtol=1e-12)
         out_m = z.copy()
         mat.gram_row_update(out_m, 5, 0.7)
@@ -323,13 +336,13 @@ def _storage_matrix(storage):
 @pytest.mark.parametrize("storage", ["padded", "segmented"])
 def test_sparse_index_arrays_are_intp(storage):
     # numpy casts an int32 index array on every fancy index, so every index
-    # array a sparse store gathers or scatters through is intp
+    # array a sparse store gathers or scatters through is intp; the row
+    # store's segments are what ``row_scorer`` gathers
     mat = _storage_matrix(storage)
     ids = np.arange(3)
     for lines in (mat._row_lines, mat._col_lines):
         arrays = [lines.indptr, lines.indices, lines.lengths, *lines.segments(ids)[1:]]
         assert [a.dtype for a in arrays] == [np.dtype(np.intp)] * len(arrays)
-    assert mat.row_segments(ids)[1].dtype == np.intp
 
 
 @pytest.mark.parametrize("storage", ["padded", "segmented", "dense", "duplicates"])
@@ -368,13 +381,24 @@ _GUARD_SETUP = """
 import numpy as np, scipy.sparse as sp, kaczlab as kl
 from kaczlab.solvers import _SubsetBlock
 mat = kl.build_matrix(sp.csr_matrix([[1.0, 0, 2], [0, 3, 0], [4, 0, 0], [0, 5, 6]]))
+wide = kl.build_matrix(sp.csr_matrix(np.ones((2, 50000))))
 block = _SubsetBlock(kl.LinearSystem(mat, np.ones(4)), 7, kl.RngStream(0))
 """
 _GUARDED_CALLS = {
     "row id past the end": "mat.rows_dot(np.array([0, 4]), np.zeros(3))",
     "row id -1": "mat.rows_dot(np.array([-1, 0]), np.zeros(3))",
     "column id past the end": "mat.cols_dot(np.array([3]), np.zeros(4))",
-    "segments of a row past the end": "mat.row_segments(np.array([4]))",
+    "segments of a row past the end": "mat.row_scorer(np.array([4]))",
+}
+# A batch's gathered segments once reached the compiled loop from the
+# caller, trusted: shifted column indices killed the interpreter, and
+# another matrix's segments read past a short x.  No public call takes
+# them now.
+_UNEXPRESSIBLE_CALLS = {
+    "shifted segment indices": ("vals, idx, off = mat.row_segments(np.arange(4))\n"
+                                "mat.segment_dots((vals, idx + 10**9, off), 0, 4, np.zeros(3))"),
+    "another matrix's segments": ("mat.segment_dots(wide.row_segments(np.arange(2)), 0, 2,"
+                                  " np.zeros(3))"),
 }
 _GUARDED_VECTORS = {
     "short vector": "mat.rows_dot(np.array([0, 1]), np.zeros(2))",
@@ -383,8 +407,8 @@ _GUARDED_VECTORS = {
     "short Gram output, unmemoized": ("kl.matrix.GRAM_MEMO_ENTRIES = 0\n"
                                       "mat.gram_row_update(np.zeros(2), 3, 1.0)"),
     "float32 Gram output": "mat.gram_col_update(np.zeros(3, dtype=np.float32), 0, 1.0)",
-    "short x for segment dots": ("mat.segment_dots(mat.row_segments(np.arange(4)), 0, 4,"
-                                 " np.zeros(2))"),
+    "short x for segment dots": "mat.row_scorer(np.arange(4))(0, 4, np.zeros(2))",
+    "wide rows scored with a short x": "wide.row_scorer(np.arange(2))(0, 2, np.zeros(3))",
     "short x in take": "block.take(np.zeros(2), np.zeros(4))",
     "float32 x in take": "block.take(np.zeros(3, dtype=np.float32), np.zeros(4))",
     "long z in take": "block.take(np.zeros(3), np.zeros(5))",
@@ -393,9 +417,10 @@ _GUARDED_VECTORS = {
 
 @pytest.mark.parametrize("case,expected", [
     *((case, "IndexOutOfRange") for case in _GUARDED_CALLS),
-    *((case, "ValueError") for case in _GUARDED_VECTORS)])
+    *((case, "ValueError") for case in _GUARDED_VECTORS),
+    *((case, "AttributeError") for case in _UNEXPRESSIBLE_CALLS)])
 def test_sparse_kernels_reject_bad_input(case, expected):
-    call = {**_GUARDED_CALLS, **_GUARDED_VECTORS}[case]
+    call = {**_GUARDED_CALLS, **_GUARDED_VECTORS, **_UNEXPRESSIBLE_CALLS}[case]
     code = (f"{_GUARD_SETUP}\ntry:\n    " + call.replace("\n", "\n    ")
             + "\nexcept Exception as exc:\n    print(type(exc).__name__)\n"
             "else:\n    print('no error')\n")

@@ -461,7 +461,6 @@ def test_sampled_block_criterion_matches_dense(rng):
     for name, (mat, dense) in _parity_matrices(rng).items():
         m, n = dense.shape
         system = kl.LinearSystem(mat, rng.standard_normal(m))
-        assert (mat.row_segments(np.arange(m)) is not None) == mat.is_sparse, name
         x, z = rng.standard_normal(n), rng.standard_normal(m)
         row_crit = (system.b - z - dense @ x) ** 2 / (1.0 + (dense * dense).sum(1))
         col_crit = (z @ dense) ** 2 / (dense * dense).sum(0)
@@ -541,6 +540,9 @@ def test_run_zero_iterations():
     assert report.iterations == 0
     assert report.max_iters_hit
     assert not report.converged
+    # a negative budget reported zero steps with max_iters_hit set
+    with pytest.raises(ValueError, match="max_iters"):
+        run("grak", system, rule=None, max_iters=-1, seed=0)
 
 
 def test_run_unknown_engine():

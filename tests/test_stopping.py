@@ -34,6 +34,10 @@ def test_rule_validation():
     # the lag L is the windowed rule's cadence; a period would be ignored
     with pytest.raises(ValueError, match="check_period"):
         StoppingRule("lise", 1e-4, check_period=7)
+    # a zero period fell back to the default cadence, a negative one ran
+    for period in (0, -3):
+        with pytest.raises(ValueError, match="check_period"):
+            StoppingRule("rse", 1e-4, check_period=period)
 
 
 # ---------------------------------------------------------------------------
