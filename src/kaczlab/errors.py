@@ -8,10 +8,14 @@ class KaczlabError(Exception):
 class ZeroRowOrColumn(KaczlabError):
     """A matrix has a structurally or numerically zero row or column."""
 
-    def __init__(self, index: int, kind: str):
+    def __init__(self, index: int, kind: str, underflow: bool = False):
         self.index = index
         self.kind = kind  # "row" or "column"
-        super().__init__(f"zero {kind} at index {index}")
+        if underflow:
+            super().__init__(f"{kind} {index} has nonzero entries, but its squared norm "
+                             "underflows to 0")
+        else:
+            super().__init__(f"zero {kind} at index {index}")
 
 
 class NonFiniteEntry(KaczlabError):

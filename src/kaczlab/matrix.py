@@ -11,7 +11,8 @@ row-major block: A itself, or the transpose of a column-major copy of A.  A
 sparse store holds the CSR arrays of its operand: A's CSR form, or A's CSC
 form, which is the CSR form of A^T.  Each store caches its squared line norms
 and their cumulative table for weighted index sampling.  Matrices with a zero
-row or zero column are rejected outright; the solvers divide by those norms.
+row or zero column, or one whose squared norm underflows to 0, are rejected
+outright; the solvers divide by those norms.
 
 A sparse store's batched kernels are scipy's compiled CSR loops from the
 private module ``scipy.sparse._sparsetools``, which scipy builds and ships,
@@ -187,12 +188,16 @@ class _Lines:
         return _csr_dots(offsets, idx, vals, v, self.width)
 
     def add_to(self, out: np.ndarray, k: int, c: float):
+        """out += c * line k; returns the indices of ``out`` it wrote, or None
+        when it wrote every entry (dense)."""
         if self.block is not None:
             out += c * self.block[k]
-            return
+            return None
         s, e = self.indptr[k], self.indptr[k + 1]
+        idx = self.indices[s:e]
         # a line holds each index once, so this adds exactly what += does
-        np.add.at(out, self.indices[s:e], c * self.data[s:e])
+        np.add.at(out, idx, c * self.data[s:e])
+        return idx
 
     def gram_update(self, other: _Lines, out: np.ndarray, k: int, c: float):
         """out += c * G[k] for this store's Gram matrix G, G[k] memoized.
@@ -204,7 +209,8 @@ class _Lines:
         c times that row, so results do not depend on whether the memo is
         warm.  ``k`` and ``out`` are checked before the memo is touched: a
         sparse line read through a negative ``k`` is empty, and its zero row
-        would be memoized as filled.
+        would be memoized as filled.  Returns what ``gram_kernel`` returns
+        when it ran on ``out``, and None (every entry written) from the memo.
         """
         self.check(k)
         check_vector(out, self.count, "out")
@@ -212,8 +218,7 @@ class _Lines:
         if memo is None:
             p = self.count
             if p * p > GRAM_MEMO_ENTRIES:
-                self.gram_kernel(other, out, k, c)
-                return
+                return self.gram_kernel(other, out, k, c)
             # zeroed pages are mapped on first write: rows never filled cost
             # no memory
             memo = self.memo = (np.zeros((p, p)), np.zeros(p, dtype=bool))
@@ -223,6 +228,7 @@ class _Lines:
             self.gram_kernel(other, row, k, 1.0)
             filled[k] = True
         out += c * row
+        return None
 
     def gram_kernel(self, other: _Lines, out: np.ndarray, k: int, c: float):
         """out += c * (op @ line k); touches only the lines of ``other`` where
@@ -230,11 +236,13 @@ class _Lines:
 
         Sparse: those lines, gathered, are the columns of a CSC matrix with
         ``len(out)`` rows, and ``csc_matvec`` adds it times c * line k into
-        ``out`` in place, entry by entry in gather order.
+        ``out`` in place, entry by entry in gather order.  Returns the
+        gathered indices, which hold every entry of ``out`` written (some
+        more than once), or None on dense storage, which writes every entry.
         """
         if self.block is not None:
             out += c * (self.op @ self.block[k])
-            return
+            return None
         check_vector(out, self.count, "out")
         s, e = self.indptr[k], self.indptr[k + 1]
         # a line's indices were range-checked when the matrix was built: each
@@ -243,6 +251,7 @@ class _Lines:
         vals, idx, offsets = other._gather(hit)
         _sparsetools.csc_matvec(len(out), len(hit), offsets, idx, vals, c * self.data[s:e],
                                 out)
+        return idx
 
 
 class RowColMatrix:
@@ -323,7 +332,14 @@ class RowColMatrix:
         for lines in (self._row_lines, self._col_lines):
             zero = np.flatnonzero(lines.norms_sq == 0.0)
             if zero.size:
-                raise ZeroRowOrColumn(int(zero[0]), lines.kind)
+                k = int(zero[0])
+                if lines.block is not None:
+                    entries = lines.block[k]
+                else:
+                    entries = lines.data[lines.indptr[k]:lines.indptr[k + 1]]
+                # nonzero entries all below ~1.5e-162 square to 0: the solvers
+                # would divide by that norm all the same
+                raise ZeroRowOrColumn(k, lines.kind, underflow=bool(np.any(entries)))
 
     def _check_row(self, i: int):
         self._row_lines.check(i)
@@ -380,22 +396,24 @@ class RowColMatrix:
         return self._col_lines.dots(cols, z)
 
     # -- in-place updates (hot path; only the Gram updates check indices) ---
+    # Each returns the indices of ``out`` it wrote (possibly repeated), or
+    # None when it wrote every entry: dense storage and memoized Gram rows.
 
     def add_row_to(self, out: np.ndarray, i: int, c: float):
         """out += c * A^(i) with out of length n."""
-        self._row_lines.add_to(out, i, c)
+        return self._row_lines.add_to(out, i, c)
 
     def add_col_to(self, out: np.ndarray, j: int, c: float):
         """out += c * A_(j) with out of length m."""
-        self._col_lines.add_to(out, j, c)
+        return self._col_lines.add_to(out, j, c)
 
     def gram_row_update(self, out: np.ndarray, i: int, c: float):
         """out += c * (A @ A^(i)), from the memo of Gram rows where it fits."""
-        self._row_lines.gram_update(self._col_lines, out, i, c)
+        return self._row_lines.gram_update(self._col_lines, out, i, c)
 
     def gram_col_update(self, out: np.ndarray, j: int, c: float):
         """out += c * (A^T @ A_(j)), from the memo of Gram rows where it fits."""
-        self._col_lines.gram_update(self._row_lines, out, j, c)
+        return self._col_lines.gram_update(self._row_lines, out, j, c)
 
     # -- cached cumulative norm tables for weighted index sampling ----------
 

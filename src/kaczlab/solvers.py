@@ -2,8 +2,9 @@
 
 Four engines share one :class:`SolverState` layout:
 
-* ``rek``: independent weighted row and column draws every step; the column
-  projection cleans z, the row projection refreshes x against b - z.
+* ``rek``: independent weighted row and column draws every step (taken
+  ``_REK_BLOCK`` steps ahead); the column projection cleans z, the row
+  projection refreshes x against b - z.
 * ``grak``: greedy thresholding over the stacked residual builds candidate
   index sets, then one stacked index is drawn with probability proportional
   to its squared residual.  Column branches leave x untouched.
@@ -28,12 +29,21 @@ step.  ``state.residuals`` holds them, updated by the projection helpers
 (one row or column of the Gram products, which the matrix memoizes per index
 where its side fits ``GRAM_MEMO_ENTRIES``) and rebuilt after
 ``RESIDUAL_REFRESH`` updates to cap drift, or when the step's system,
-``state.x`` or ``state.z`` is not theirs.  ``sampled`` and ``rek`` never form
+``state.x`` or ``state.z`` is not theirs.  It also holds their normalized
+squared criteria; on sparse storage the row criteria are recomputed only on
+the entries the previous step wrote.  ``sampled`` and ``rek`` never form
 full residuals, so they never fill the memo; that is their point.
+
+A state carries three engine caches, each rebuilt by its own rule and all
+three dropped by ``SolverState.invalidate()``: ``residuals`` (grak, agrak),
+``subsets`` (sampled) and ``rek_draws`` (rek).  The last two are drawn ahead
+from the state's stream, so after such steps a stream shared with other
+engines sits further along than one draw per step would leave it.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -49,7 +59,7 @@ from .sampling import (
     simple_random_subset,  # noqa: F401  the benchmark's tracer wraps this name here
     simple_random_subsets,
     subset_size,
-    weighted_column_sample,
+    weighted_column_sample,  # noqa: F401  the benchmark's tracer wraps this name here
     weighted_row_sample,
 )
 from .stopping import StoppingRule, make_monitor
@@ -76,8 +86,16 @@ ENGINES = ("rek", "grak", "agrak", "sampled")
 
 RESIDUAL_REFRESH = 1000
 
+# share of m past which the row criteria are recomputed in full rather than
+# on the touched entries (counted with repeats); on the 60000 x 209 benchmark
+# system the two passes cost about the same at a tenth
+_TOUCHED_FRACTION = 0.1
+
 # subsets the sampled engine draws and gathers at a time
 SUBSET_BLOCK = 32
+
+# steps whose row and column draws rek takes at a time
+_REK_BLOCK = 32
 
 
 @dataclass
@@ -85,12 +103,14 @@ class SolverState:
     """Iterate pair, step counter and the engine's private random stream.
 
     ``x`` starts in range(A^T) (zero by default) and ``z`` at b; every step
-    function advances ``k`` by exactly one.  ``residuals`` (grak, agrak) and
-    ``subsets`` (sampled, drawn ahead from ``rng``) are engine caches that
-    follow their system, so a state may be stepped on another system and a
-    new array may be assigned to ``x`` or ``z``.  After writing into them in
-    place, call ``invalidate()``; the unused subsets it drops leave the law
-    of the next block, drawn fresh from the stream, unchanged.
+    function advances ``k`` by exactly one.  Three engine caches follow their
+    system: ``residuals`` (grak, agrak), ``subsets`` (sampled) and
+    ``rek_draws`` (rek's row and column indices, keyed on the matrix); the
+    last two are drawn ahead from ``rng``.  So a state may be stepped on
+    another system and a new array may be assigned to ``x`` or ``z``.  After
+    writing into them in place, call ``invalidate()``, which drops all
+    three; the unused draws it drops leave the law of the next block, drawn
+    fresh from the stream, unchanged.
     """
 
     x: np.ndarray
@@ -99,10 +119,11 @@ class SolverState:
     rng: RngStream
     residuals: _Residuals | None = field(default=None, repr=False, compare=False)
     subsets: _SubsetBlock | None = field(default=None, repr=False, compare=False)
+    rek_draws: _RekDraws | None = field(default=None, repr=False, compare=False)
 
     def invalidate(self) -> None:
-        """Drop both engine caches; the next step rebuilds what it needs."""
-        self.residuals = self.subsets = None
+        """Drop the three engine caches; the next step rebuilds what it needs."""
+        self.residuals = self.subsets = self.rek_draws = None
 
 
 @dataclass
@@ -153,7 +174,14 @@ def init_state(system, seed: int, stream_id: int = 0) -> SolverState:
 
 class _Residuals:
     """b - z - A x and A^T z of one system at one iterate, and buffers for their
-    stacked criteria; the projection helpers update both and count ``updates``."""
+    stacked criteria; the projection helpers update both and count ``updates``.
+
+    The helpers also ``touch`` the entries of ``row`` they write, so that
+    ``criteria()`` recomputes the row criteria only there.  ``touched`` is
+    None when the next pass must cover every row: after a build, after an
+    update that wrote every entry (dense storage, memoized Gram rows), and
+    once more than ``_TOUCHED_FRACTION`` of m entries were recorded.
+    """
 
     def __init__(self, system, x: np.ndarray, z: np.ndarray):
         mat = self.mat = system.mat
@@ -162,6 +190,8 @@ class _Residuals:
         self.col = mat.rmatvec(z)
         self.row_crit, self.col_crit = np.empty(mat.m), np.empty(mat.n)
         self.updates = 0
+        self.touched, self.n_touched = None, 0
+        self.touch_limit = _TOUCHED_FRACTION * mat.m
 
     @classmethod
     def of(cls, state: SolverState, system) -> _Residuals:
@@ -173,10 +203,37 @@ class _Residuals:
             res = state.residuals = cls(system, state.x, state.z)
         return res
 
+    def touch(self, idx) -> None:
+        """Record ``idx`` (indices, repeats allowed) as written in ``row``; None
+        means every entry.  Past the limit only a full pass is left to do, so
+        nothing more is kept."""
+        if self.touched is None:
+            return
+        if idx is not None:
+            self.n_touched += len(idx)
+        if idx is None or self.n_touched > self.touch_limit:
+            self.touched = None
+        else:
+            self.touched.append(idx)
+
     def criteria(self):
-        """Normalized squared criteria of every stacked row, in the buffers."""
-        np.multiply(self.row, self.row, out=self.row_crit)
-        self.row_crit /= self.mat.aug_row_norms_sq
+        """Normalized squared criteria of every stacked row, in the buffers.
+
+        Row criteria are recomputed only on the touched entries when they were
+        recorded: the same correctly rounded operations as the full pass, so
+        the buffers hold the same bits either way.
+        """
+        touched, aug = self.touched, self.mat.aug_row_norms_sq
+        if touched is None:
+            np.multiply(self.row, self.row, out=self.row_crit)
+            self.row_crit /= aug
+        elif touched:
+            idx = np.concatenate(touched)
+            r = self.row[idx]
+            r *= r
+            r /= aug[idx]
+            self.row_crit[idx] = r
+        self.touched, self.n_touched = [], 0
         np.multiply(self.col, self.col, out=self.col_crit)
         self.col_crit /= self.mat.col_norms_sq
         return self.row_crit, self.col_crit
@@ -199,7 +256,8 @@ def _apply_stacked_row(state: SolverState, mat, i: int, r: float) -> float:
     res = _tracked(state, mat)
     if res is not None:
         res.row[i] -= d
-        mat.gram_row_update(res.row, i, -d)
+        res.touch((i,))
+        res.touch(mat.gram_row_update(res.row, i, -d))
         mat.add_row_to(res.col, i, d)
         res.updates += 1
     return d
@@ -212,7 +270,7 @@ def _apply_column_projection(state: SolverState, mat, j: int, s: float) -> float
     mat.add_col_to(state.z, j, -c)
     res = _tracked(state, mat)
     if res is not None:
-        mat.add_col_to(res.row, j, c)
+        res.touch(mat.add_col_to(res.row, j, c))
         mat.gram_col_update(res.col, j, -c)
         res.updates += 1
     return c
@@ -225,7 +283,7 @@ def _apply_x_refresh(state: SolverState, mat, i: int, r: float) -> float:
     mat.add_row_to(state.x, i, d)
     res = _tracked(state, mat)
     if res is not None:
-        mat.gram_row_update(res.row, i, -d)
+        res.touch(mat.gram_row_update(res.row, i, -d))
         res.updates += 1
     return d
 
@@ -310,12 +368,57 @@ def _accelerated_branch(state: SolverState, system, t: int, value: float,
 # ---------------------------------------------------------------------------
 
 
+class _RekDraws:
+    """The next ``_REK_BLOCK`` (row, column) index pairs of a rek run.
+
+    One call takes the block's 2 * ``_REK_BLOCK`` uniforms from the state's
+    stream, row and column interleaved: on a Philox stream those are the
+    doubles that a ``weighted_row_sample`` and a ``weighted_column_sample``
+    per step would have drawn.  One ``searchsorted`` per side turns them
+    into indices, as each of those calls does for its one uniform.  A block
+    belongs to one matrix; ``take`` returns the next unused pair.
+    """
+
+    def __init__(self, mat: RowColMatrix, rng: RngStream):
+        self.mat = mat
+        u = rng._gen.random(2 * _REK_BLOCK)
+        self.rows = self._indices(mat.row_norm_cumsum(), u[0::2])
+        self.cols = self._indices(mat.col_norm_cumsum(), u[1::2])
+        self.used = 0
+
+    @staticmethod
+    def _indices(cum: np.ndarray, u: np.ndarray) -> list:
+        idx = cum.searchsorted(u * cum[-1], side="right")
+        return np.minimum(idx, len(cum) - 1).tolist()
+
+    def __deepcopy__(self, memo):
+        # the matrix is immutable and the index lists are only read, so a copied
+        # state shares them and replays the same picks on the same matrix
+        return copy.copy(self)
+
+    @classmethod
+    def of(cls, state: SolverState, mat) -> _RekDraws:
+        """The state's block for a step on ``mat``, drawn anew when spent or when
+        its matrix is not the step's."""
+        block = state.rek_draws
+        if block is None or block.used >= _REK_BLOCK or block.mat is not mat:
+            block = state.rek_draws = cls(mat, state.rng)
+        return block
+
+    def take(self) -> tuple[int, int]:
+        k = self.used
+        self.used += 1
+        return self.rows[k], self.cols[k]
+
+
 def rek_step(state: SolverState, system) -> StepOutcome:
     """One extended-Kaczmarz step: weighted column draw cleans z, weighted
-    row draw projects x onto the updated equation A^(i) x = b_i - z_i."""
+    row draw projects x onto the updated equation A^(i) x = b_i - z_i.
+
+    The draws are taken ``_REK_BLOCK`` steps ahead and kept in
+    ``state.rek_draws``."""
     mat = system.mat
-    i = weighted_row_sample(mat, state.rng)
-    j = weighted_column_sample(mat, state.rng)
+    i, j = _RekDraws.of(state, mat).take()
     _apply_column_projection(state, mat, j, mat.col_dot(j, state.z))
     d = _apply_x_refresh(state, mat, i, _fresh_row_residual(state, system, i))
     state.k += 1

@@ -172,6 +172,15 @@ def test_size_line_the_file_cannot_hold_exits_3(capsys, tmp_path, fmt, size):
     assert out == "" and err.startswith("error: line 2: ") and err.count("\n") == 1
 
 
+def test_underflowing_line_norm_exits_3(capsys, tmp_path):
+    path = tmp_path / "tiny.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n"
+                    "1 1 1e-200\n2 2 1.0\n")
+    code, out, err = _run(capsys, "solve", "--matrix", str(path))
+    assert code == 3
+    assert out == "" and "squared norm underflows to 0" in err
+
+
 def test_bench_rejects_repeated_engine(capsys):
     # each engine gets one row; a repeat used to report its second set of
     # runs in both rows

@@ -50,6 +50,19 @@ def test_sparse_zero_line_rejected():
                      shape=(2, 1))
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_underflowing_line_norm_rejected(sparse):
+    # 1e-200 squares to 0: the line is not empty, but its norm is, so it is
+    # rejected with a message that says which
+    dense = np.array([[1e-200, 0.0], [0.0, 1.0]])
+    with pytest.raises(ZeroRowOrColumn) as exc:
+        build_matrix(sp.csr_matrix(dense) if sparse else dense)
+    assert (exc.value.kind, exc.value.index) == ("row", 0)
+    assert str(exc.value) == "row 0 has nonzero entries, but its squared norm underflows to 0"
+    with pytest.raises(ZeroRowOrColumn, match="^zero row at index 1$"):
+        build_matrix(sp.csr_matrix([[1.0], [0.0]]) if sparse else [[1.0], [0.0]])
+
+
 def test_nonfinite_rejected():
     with pytest.raises(NonFiniteEntry):
         build_matrix([[1.0, np.nan], [0.0, 2.0]])

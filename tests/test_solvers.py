@@ -8,9 +8,12 @@ import pytest
 import kaczlab as kl
 from kaczlab import RngStream, build_matrix
 from kaczlab.solvers import (
+    _TOUCHED_FRACTION,
+    _REK_BLOCK,
     RESIDUAL_REFRESH,
     SUBSET_BLOCK,
     GreedySelection,
+    _apply_column_projection,
     _SubsetBlock,
     agrak_step,
     grak_build_selection,
@@ -183,6 +186,51 @@ def test_rek_two_by_one_limit():
         rek_step(st, system)
     assert st.x[0] == pytest.approx(2.0, abs=1e-6)
     np.testing.assert_allclose(st.z, [-1.0, 1.0], atol=1e-6)
+
+
+def _interleaved_draws(mat, rng, steps):
+    return [(kl.weighted_row_sample(mat, rng), kl.weighted_column_sample(mat, rng))
+            for _ in range(steps)]
+
+
+def test_rek_block_draws_match_per_step_draws():
+    # a block holds the picks that a row and a column draw per step would
+    # have made; each new block starts 2 * _REK_BLOCK uniforms further along
+    sys_a = make_gaussian_system(60, 20, seed=51, with_reference=False)
+    sys_b = make_gaussian_system(60, 20, seed=52, with_reference=False)
+    steps = 100
+    assert steps > 3 * _REK_BLOCK
+    st = init_state(sys_a, seed=4)
+    picks = [(o.row, o.col) for o in (rek_step(st, sys_a) for _ in range(steps))]
+    assert picks == _interleaved_draws(sys_a.mat, RngStream(4), steps)
+    blocks = -(-steps // _REK_BLOCK)
+
+    def after(block_count, mat, count):
+        ref = RngStream(4)
+        for _ in range(2 * _REK_BLOCK * block_count):
+            ref.uniform()
+        return _interleaved_draws(mat, ref, count)
+
+    # another right-hand side on the same matrix keeps the block
+    block = st.rek_draws
+    rek_step(st, kl.LinearSystem(sys_a.mat, sys_b.b))
+    assert st.rek_draws is block and block.used == steps % _REK_BLOCK + 1
+    # another matrix draws a new block from where the stream stands
+    out = rek_step(st, sys_b)
+    assert st.rek_draws.mat is sys_b.mat and st.rek_draws.used == 1
+    assert [(out.row, out.col)] == after(blocks, sys_b.mat, 1)
+    # invalidate() drops the block
+    st.invalidate()
+    assert st.rek_draws is None
+    out = rek_step(st, sys_b)
+    assert [(out.row, out.col)] == after(blocks + 1, sys_b.mat, 1)
+    # a deep copy replays the same picks and iterates, across block ends
+    twin = copy.deepcopy(st)
+    for _ in range(2 * _REK_BLOCK):
+        a, b = rek_step(st, sys_b), rek_step(twin, sys_b)
+        assert (a.row, a.col) == (b.row, b.col)
+    np.testing.assert_array_equal(st.x, twin.x)
+    np.testing.assert_array_equal(st.z, twin.z)
 
 
 # ---------------------------------------------------------------------------
@@ -736,3 +784,74 @@ def test_residual_cache_refreshes_after_refresh_updates(step):
         made = 2 if step is agrak_step and out.kind == "col" else 1
         assert st.residuals.updates == before + made
     assert refreshes >= 2
+
+
+def _touched_criteria_system(storage, monkeypatch, seed):
+    """400x40 system: sparse rows of one to two entries, and a column of 80
+    (past ``_TOUCHED_FRACTION`` of m) that fills one row in five; or dense."""
+    m, n = 400, 40
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(m)
+    if storage == "dense":
+        return kl.LinearSystem(build_matrix(rng.standard_normal((m, n))), b)
+    if storage == "sparse, unmemoized":
+        monkeypatch.setattr(kl.matrix, "GRAM_MEMO_ENTRIES", 0)
+    rows = np.concatenate([np.arange(m), np.arange(0, m, 5)])
+    cols = np.concatenate([np.arange(m) % n, np.full(m // 5, n - 1)])
+    assert m // 5 > _TOUCHED_FRACTION * m
+    return kl.LinearSystem(build_matrix((rows, cols, rng.standard_normal(rows.size)),
+                                        shape=(m, n)), b)
+
+
+@pytest.mark.parametrize("storage", ["sparse, unmemoized", "sparse, memoized", "dense"])
+def test_touched_criteria_match_full_recompute(storage, monkeypatch):
+    # after every kind of step, criteria() leaves the buffers bit-identical to
+    # a full pass over the residuals
+    monkeypatch.setattr(kl.solvers, "RESIDUAL_REFRESH", 40)
+    system = _touched_criteria_system(storage, monkeypatch, seed=61)
+    other = _touched_criteria_system(storage, monkeypatch, seed=62)
+    mat = system.mat
+    seen = set()
+
+    def check(st, label):
+        res = st.residuals
+        seen.add((label, "full" if res.touched is None else "touched"))
+        row_crit, col_crit = res.criteria()
+        full_row = res.row * res.row
+        full_row /= mat.aug_row_norms_sq
+        full_col = res.col * res.col
+        full_col /= mat.col_norms_sq
+        assert row_crit.tobytes() == full_row.tobytes(), label
+        assert col_crit.tobytes() == full_col.tobytes(), label
+
+    st = init_state(system, seed=3)
+    rebuilt = 0
+    for step in (grak_step, agrak_step, grak_step):
+        for _ in range(60):
+            res = st.residuals
+            out = step(st, system)
+            rebuilt += res is not None and st.residuals is not res
+            check(st, f"{step.__name__} {out.kind}")
+    assert rebuilt >= 2  # RESIDUAL_REFRESH rebuilds
+    # a column past the fallback fraction
+    j = mat.n - 1
+    _apply_column_projection(st, mat, j, mat.col_dot(j, st.z))
+    assert st.residuals.touched is None
+    check(st, "long column")
+    # rek on another matrix drops the residuals; the next greedy step rebuilds
+    for _ in range(3):
+        rek_step(st, other)
+    assert st.residuals is None
+    for step in (grak_step, agrak_step):
+        out = step(st, system)
+        check(st, f"{step.__name__} {out.kind} after rek")
+
+    kinds = {label for label, _ in seen}
+    assert {"grak_step row", "grak_step col", "agrak_step row", "agrak_step col"} <= kinds
+    # a dense update writes every entry of the row residual; a sparse one writes
+    # a column's entries, or a Gram row's unless it is memoized
+    if storage == "dense":
+        assert {path for _, path in seen} == {"full"}
+    else:
+        assert ("grak_step col", "touched") in seen
+        assert (("grak_step row", "touched") in seen) == (storage == "sparse, unmemoized")
