@@ -44,7 +44,8 @@ when p^2 is at most ``GRAM_MEMO_ENTRIES``; a larger side runs its kernel on
 every call.  The table is zero-filled memory, so only the rows actually
 filled are touched: at most 8 p^2 bytes per side.  Results do not depend on
 whether the memo is warm, and on dense storage they are bit-identical to
-the kernel's.
+the kernel's.  So a matrix is immutable, memo and all: ``copy.copy`` and
+``copy.deepcopy`` return it, and copies share every cache keyed on it.
 
 Scalars are real float64 throughout.
 """
@@ -325,6 +326,11 @@ class RowColMatrix:
         # sharing the CSR arrays, used for A^T @ z
         self._row_lines = _Lines("row", csr, csr)
         self._col_lines = _Lines("column", csr.tocsc().T, csr.T)
+
+    def __deepcopy__(self, memo=None):  # immutable: see the module docstring
+        return self
+
+    __copy__ = __deepcopy__
 
     def _check_no_zero_lines(self):
         if self.m < 1 or self.n < 1:

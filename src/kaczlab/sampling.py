@@ -40,8 +40,6 @@ _INT64_MAX = (1 << 63) - 1
 class RngStream:
     """Counter-based random stream identified by (seed, stream_id)."""
 
-    algorithm = "philox4x64"
-
     def __init__(self, seed: int, stream_id: int = STREAM_SOLVER):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
@@ -82,21 +80,30 @@ class SampleSubset:
         self.cols = self.indices[split:] - self.m
 
 
-def _cumsum_draw(cum: np.ndarray, rng: RngStream) -> int:
-    """Draw an index with probability proportional to the cumsum increments."""
-    u = rng.uniform() * cum[-1]
-    idx = int(cum.searchsorted(u, side="right"))
-    return min(idx, len(cum) - 1)
+def _cumsum_indices(cum: np.ndarray, u):
+    """Index per uniform in ``u`` (a float or an array), drawn with probability
+    proportional to the increments of ``cum``.  Searching ``cum[:-1]`` clips
+    a ``u * cum[-1]`` rounded up to ``cum[-1]`` to the last index."""
+    return cum[:-1].searchsorted(u * cum[-1], side="right")
 
 
 def weighted_row_sample(mat: RowColMatrix, rng: RngStream) -> int:
     """Row index drawn with probability ||A^(i)||^2 / ||A||_F^2."""
-    return _cumsum_draw(mat.row_norm_cumsum(), rng)
+    return int(_cumsum_indices(mat.row_norm_cumsum(), rng.uniform()))
 
 
 def weighted_column_sample(mat: RowColMatrix, rng: RngStream) -> int:
     """Column index drawn with probability ||A_(j)||^2 / ||A||_F^2."""
-    return _cumsum_draw(mat.col_norm_cumsum(), rng)
+    return int(_cumsum_indices(mat.col_norm_cumsum(), rng.uniform()))
+
+
+def _weighted_row_col_pairs(mat: RowColMatrix, count: int, rng: RngStream):
+    """Rows and columns (lists) of ``count`` ``weighted_row_sample`` and
+    ``weighted_column_sample`` pairs, their uniforms taken in one call."""
+    u = rng._gen.random(2 * count)
+    rows = _cumsum_indices(mat.row_norm_cumsum(), u[0::2])
+    cols = _cumsum_indices(mat.col_norm_cumsum(), u[1::2])
+    return rows.tolist(), cols.tolist()
 
 
 def _first_distinct(draws: np.ndarray, total: int, k: int) -> np.ndarray | None:
@@ -210,7 +217,7 @@ def grak_residual_sample(selection, rng: RngStream) -> int:
     if masses.size == 0 or masses.sum() <= 0.0:
         raise ZeroResidual("masked residual carries no mass: already converged")
     cum = np.cumsum(masses)
-    pos = _cumsum_draw(cum, rng)
+    pos = int(_cumsum_indices(cum, rng.uniform()))
     if pos < rv.size:
         return int(selection.row_set[pos])
     return m + int(selection.col_set[pos - rv.size])

@@ -38,12 +38,14 @@ A state carries three engine caches, each rebuilt by its own rule and all
 three dropped by ``SolverState.invalidate()``: ``residuals`` (grak, agrak),
 ``subsets`` (sampled) and ``rek_draws`` (rek).  The last two are drawn ahead
 from the state's stream, so after such steps a stream shared with other
-engines sits further along than one draw per step would leave it.
+engines sits further along than one draw per step would leave it.  Both
+blocks belong to a matrix (sampled's also to a subset size), never to a
+system, so a deep copy, which shares the immutable matrix, replays them; a
+copied grak or agrak state rebuilds its residuals.
 """
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -55,6 +57,7 @@ from .errors import ZeroResidual
 from .matrix import RowColMatrix, as_vector, check_vector
 from .sampling import (
     RngStream,
+    _weighted_row_col_pairs,
     grak_residual_sample,
     simple_random_subset,  # noqa: F401  the benchmark's tracer wraps this name here
     simple_random_subsets,
@@ -103,14 +106,14 @@ class SolverState:
     """Iterate pair, step counter and the engine's private random stream.
 
     ``x`` starts in range(A^T) (zero by default) and ``z`` at b; every step
-    function advances ``k`` by exactly one.  Three engine caches follow their
-    system: ``residuals`` (grak, agrak), ``subsets`` (sampled) and
-    ``rek_draws`` (rek's row and column indices, keyed on the matrix); the
-    last two are drawn ahead from ``rng``.  So a state may be stepped on
-    another system and a new array may be assigned to ``x`` or ``z``.  After
-    writing into them in place, call ``invalidate()``, which drops all
-    three; the unused draws it drops leave the law of the next block, drawn
-    fresh from the stream, unchanged.
+    function advances ``k`` by exactly one.  Three engine caches follow the
+    step's system: ``residuals`` (grak, agrak) and, drawn ahead from ``rng``
+    and keyed on the matrix, ``subsets`` (sampled) and ``rek_draws`` (rek).
+    So a state may be stepped on another system or deep-copied (a copy shares
+    the matrix, so its blocks replay), and a new array may be assigned to
+    ``x`` or ``z``.  After writing into them in place, call
+    ``invalidate()``, which drops all three; the unused draws it drops leave
+    the law of the next block, drawn fresh from the stream, unchanged.
     """
 
     x: np.ndarray
@@ -371,30 +374,16 @@ def _accelerated_branch(state: SolverState, system, t: int, value: float,
 class _RekDraws:
     """The next ``_REK_BLOCK`` (row, column) index pairs of a rek run.
 
-    One call takes the block's 2 * ``_REK_BLOCK`` uniforms from the state's
-    stream, row and column interleaved: on a Philox stream those are the
-    doubles that a ``weighted_row_sample`` and a ``weighted_column_sample``
-    per step would have drawn.  One ``searchsorted`` per side turns them
-    into indices, as each of those calls does for its one uniform.  A block
-    belongs to one matrix; ``take`` returns the next unused pair.
+    Drawn in one call from the state's stream; the pairs are what a
+    ``weighted_row_sample`` and a ``weighted_column_sample`` per step would
+    have drawn.  A block belongs to one matrix; ``take`` returns the next
+    unused pair.
     """
 
     def __init__(self, mat: RowColMatrix, rng: RngStream):
         self.mat = mat
-        u = rng._gen.random(2 * _REK_BLOCK)
-        self.rows = self._indices(mat.row_norm_cumsum(), u[0::2])
-        self.cols = self._indices(mat.col_norm_cumsum(), u[1::2])
+        self.rows, self.cols = _weighted_row_col_pairs(mat, _REK_BLOCK, rng)
         self.used = 0
-
-    @staticmethod
-    def _indices(cum: np.ndarray, u: np.ndarray) -> list:
-        idx = cum.searchsorted(u * cum[-1], side="right")
-        return np.minimum(idx, len(cum) - 1).tolist()
-
-    def __deepcopy__(self, memo):
-        # the matrix is immutable and the index lists are only read, so a copied
-        # state shares them and replays the same picks on the same matrix
-        return copy.copy(self)
 
     @classmethod
     def of(cls, state: SolverState, mat) -> _RekDraws:
@@ -507,17 +496,16 @@ class _SubsetBlock:
 
     Drawn in one call from the state's stream; each subset is what
     ``simple_random_subset`` would have returned at that point of the
-    stream.  Per subset, the block gathers the right-hand side entries and
-    inverse stacked norms of its rows and the squared norms of its columns,
-    and the matrix's scorer of its rows (``row_scorer``), which on sparse
-    storage gathers their CSR segments once: ``take`` then scores a subset's
-    rows with one call.  A block belongs to one system and one subset size;
-    ``take`` scores the next unused subset.
+    stream.  Per subset, the block gathers the inverse stacked norms of its
+    rows and the squared norms of its columns, and the matrix's scorer of
+    its rows (``row_scorer``), which on sparse storage gathers their CSR
+    segments once: ``take`` then scores a subset's rows with one call.  A
+    block belongs to one matrix and one subset size; ``take`` scores the
+    next unused subset against the step's right-hand side.
     """
 
-    def __init__(self, system, k: int, rng: RngStream):
-        mat = self.mat = system.mat
-        self.system, self.k = system, k
+    def __init__(self, mat: RowColMatrix, k: int, rng: RngStream):
+        self.mat, self.k = mat, k
         subsets = simple_random_subsets(mat.m, mat.n, k, SUBSET_BLOCK, rng)
         is_row = subsets < mat.m
         row_counts = np.count_nonzero(is_row, axis=1)
@@ -525,29 +513,27 @@ class _SubsetBlock:
         self.col_bounds = [k * j - r for j, r in enumerate(self.row_bounds)]
         self.rows = subsets[is_row]
         self.cols = subsets[~is_row] - mat.m
-        self.rhs = system.b[self.rows]
         self.inv_norms = mat.inv_aug_row_norms_sq[self.rows]
         self.col_norms = mat.col_norms_sq[self.cols]
         self.score_rows = mat.row_scorer(self.rows)
         self.used = 0
 
     @classmethod
-    def of(cls, state: SolverState, system, k: int) -> _SubsetBlock:
-        """The state's block for a step on ``system`` with size-k subsets, drawn
-        anew when spent or when its system or subset size is not the step's."""
+    def of(cls, state: SolverState, mat, k: int) -> _SubsetBlock:
+        """The state's block for a step on ``mat`` with size-k subsets, drawn
+        anew when spent or when its matrix or subset size is not the step's."""
         block = state.subsets
-        if (block is None or block.used >= SUBSET_BLOCK or block.system is not system
-                or block.k != k):
-            block = state.subsets = cls(system, k, state.rng)
+        if block is None or block.used >= SUBSET_BLOCK or block.mat is not mat or block.k != k:
+            block = state.subsets = cls(mat, k, state.rng)
         return block
 
-    def take(self, x: np.ndarray, z: np.ndarray):
+    def take(self, b: np.ndarray, x: np.ndarray, z: np.ndarray):
         """Best stacked index of the next subset by the squared criteria.
 
         Squaring preserves the argmax of the square-root criteria and keeps
         the hot loop free of square roots.  Rows win ties against columns.
-        Returns (None, 0.0) when every sampled criterion is zero.  ``x`` and
-        ``z`` are checked first: callers may assign them on the state.
+        Returns (None, 0.0) when every sampled criterion is zero.  ``b`` is
+        the step's; ``x`` and ``z`` are checked first, as callers assign them.
         """
         check_vector(x, self.mat.n, "x")
         check_vector(z, self.mat.m, "z")
@@ -558,7 +544,7 @@ class _SubsetBlock:
         r0, r1 = self.row_bounds[j], self.row_bounds[j + 1]
         if r1 > r0:
             rows = self.rows[r0:r1]
-            crit = self.rhs[r0:r1] - z[rows]
+            crit = b[rows] - z[rows]
             crit -= self.score_rows(r0, r1, x)
             crit *= crit
             crit *= self.inv_norms[r0:r1]
@@ -592,9 +578,9 @@ def sampled_step(state: SolverState, system, eta_s: float = 0.01) -> StepOutcome
     """
     mat = system.mat
     k = subset_size(mat.m, mat.n, eta_s)
-    t, value = _SubsetBlock.of(state, system, k).take(state.x, state.z)
+    t, value = _SubsetBlock.of(state, mat, k).take(system.b, state.x, state.z)
     if t is None:
-        t, value = _SubsetBlock.of(state, system, k).take(state.x, state.z)
+        t, value = _SubsetBlock.of(state, mat, k).take(system.b, state.x, state.z)
     if t is None:
         # full sweep on fresh residuals, not stored: the greedy cache is never started
         t, value = _stacked_argmax(*_Residuals(system, state.x, state.z).criteria())

@@ -395,7 +395,7 @@ import numpy as np, scipy.sparse as sp, kaczlab as kl
 from kaczlab.solvers import _SubsetBlock
 mat = kl.build_matrix(sp.csr_matrix([[1.0, 0, 2], [0, 3, 0], [4, 0, 0], [0, 5, 6]]))
 wide = kl.build_matrix(sp.csr_matrix(np.ones((2, 50000))))
-block = _SubsetBlock(kl.LinearSystem(mat, np.ones(4)), 7, kl.RngStream(0))
+block = _SubsetBlock(mat, 7, kl.RngStream(0))
 """
 _GUARDED_CALLS = {
     "row id past the end": "mat.rows_dot(np.array([0, 4]), np.zeros(3))",
@@ -422,9 +422,9 @@ _GUARDED_VECTORS = {
     "float32 Gram output": "mat.gram_col_update(np.zeros(3, dtype=np.float32), 0, 1.0)",
     "short x for segment dots": "mat.row_scorer(np.arange(4))(0, 4, np.zeros(2))",
     "wide rows scored with a short x": "wide.row_scorer(np.arange(2))(0, 2, np.zeros(3))",
-    "short x in take": "block.take(np.zeros(2), np.zeros(4))",
-    "float32 x in take": "block.take(np.zeros(3, dtype=np.float32), np.zeros(4))",
-    "long z in take": "block.take(np.zeros(3), np.zeros(5))",
+    "short x in take": "block.take(np.ones(4), np.zeros(2), np.zeros(4))",
+    "float32 x in take": "block.take(np.ones(4), np.zeros(3, dtype=np.float32), np.zeros(4))",
+    "long z in take": "block.take(np.ones(4), np.zeros(3), np.zeros(5))",
 }
 
 

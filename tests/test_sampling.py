@@ -189,7 +189,7 @@ def _engine_subsets(m, n, k, blocks, seed):
     rng = RngStream(seed)
     out = []
     for _ in range(blocks):
-        blk = _SubsetBlock(system, k, rng)
+        blk = _SubsetBlock(system.mat, k, rng)
         for j in range(SUBSET_BLOCK):
             rows = blk.rows[blk.row_bounds[j]:blk.row_bounds[j + 1]]
             cols = blk.cols[blk.col_bounds[j]:blk.col_bounds[j + 1]]

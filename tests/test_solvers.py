@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import warnings
 
@@ -7,6 +8,7 @@ import pytest
 
 import kaczlab as kl
 from kaczlab import RngStream, build_matrix
+from kaczlab.sampling import simple_random_subsets, subset_size
 from kaczlab.solvers import (
     _TOUCHED_FRACTION,
     _REK_BLOCK,
@@ -513,20 +515,20 @@ def test_sampled_block_criterion_matches_dense(rng):
         row_crit = (system.b - z - dense @ x) ** 2 / (1.0 + (dense * dense).sum(1))
         col_crit = (z @ dense) ** 2 / (dense * dense).sum(0)
         for k in (1, 12, 40):  # batched draw, batched draw, shuffle
-            blk = _SubsetBlock(system, k, RngStream(k))
+            blk = _SubsetBlock(mat, k, RngStream(k))
             for j in range(SUBSET_BLOCK):
                 rows = blk.rows[blk.row_bounds[j]:blk.row_bounds[j + 1]]
                 cols = blk.cols[blk.col_bounds[j]:blk.col_bounds[j + 1]]
                 assert rows.size + cols.size == k
                 crit = np.concatenate([row_crit[rows], col_crit[cols]])
                 best = int(np.argmax(crit))
-                t, value = blk.take(x, z)
+                t, value = blk.take(system.b, x, z)
                 assert t == (rows[best] if best < rows.size
                              else m + cols[best - rows.size]), name
                 np.testing.assert_allclose(value, crit[best], rtol=1e-12)
             spent = init_state(system, seed=0)
             spent.subsets = blk
-            assert _SubsetBlock.of(spent, system, k) is not blk
+            assert _SubsetBlock.of(spent, mat, k) is not blk
 
 
 def test_sampled_matches_naive(rng):
@@ -566,6 +568,81 @@ def test_sampled_block_follows_system_and_subset_size():
     sampled_step(st, sys_b, eta_s=0.2)  # floor(38 * 0.2) = 7
     assert scored_a == [] and len(set(scored_b)) == 7
     assert max(scored_b) < 38
+
+
+def _block_subsets(block):
+    """The stacked index subsets of a sampled block, one sorted row each."""
+    return np.stack([np.concatenate([
+        block.rows[block.row_bounds[j]:block.row_bounds[j + 1]],
+        block.cols[block.col_bounds[j]:block.col_bounds[j + 1]] + block.mat.m])
+        for j in range(SUBSET_BLOCK)])
+
+
+def test_sampled_block_draws_follow_matrix():
+    # a block belongs to a matrix and a subset size, never to a system; a new
+    # block holds the subsets simple_random_subsets draws from where the
+    # stream stands (column steps also draw a row from it)
+    sys_a = make_gaussian_system(60, 20, seed=51, with_reference=False)
+    sys_b = make_gaussian_system(60, 20, seed=52, with_reference=False)
+    k = subset_size(60, 20, 0.2)
+
+    def step_drawing_block(system, eta_s):
+        stream = copy.deepcopy(st.rng)
+        sampled_step(st, system, eta_s=eta_s)
+        assert st.subsets.mat is system.mat and st.subsets.used == 1
+        expected = simple_random_subsets(60, 20, subset_size(60, 20, eta_s),
+                                         SUBSET_BLOCK, stream)
+        np.testing.assert_array_equal(_block_subsets(st.subsets), expected)
+
+    st = init_state(sys_a, seed=4)
+    step_drawing_block(sys_a, 0.2)
+    for _ in range(SUBSET_BLOCK + 7):
+        sampled_step(st, sys_a, eta_s=0.2)
+    # another right-hand side on the same matrix keeps the block
+    block = st.subsets
+    assert block.used == 8
+    sampled_step(st, kl.LinearSystem(sys_a.mat, sys_b.b), eta_s=0.2)
+    assert st.subsets is block and block.used == 9
+    # another matrix draws a new block, and so does another subset size
+    step_drawing_block(sys_b, 0.2)
+    step_drawing_block(sys_b, 0.1)
+    assert st.subsets.k == subset_size(60, 20, 0.1) != k
+    # invalidate() drops the block
+    st.invalidate()
+    assert st.subsets is None
+    step_drawing_block(sys_b, 0.1)
+    # copies of a system share its matrix, which keys the block
+    assert copy.deepcopy(sys_a).mat is sys_a.mat and copy.copy(sys_a.mat) is sys_a.mat
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+@pytest.mark.parametrize("engine,eta_s", [("rek", None), ("sampled", 0.01),
+                                          ("sampled", 0.2)])
+def test_copied_state_replays(engine, eta_s, storage):
+    # a deep copy shares the immutable matrix its drawn-ahead block is keyed
+    # on, so, copied mid-block or with its block just spent, it makes the
+    # original's picks and reaches its iterates byte for byte
+    if storage == "dense":
+        system = make_gaussian_system(60, 20, seed=41, with_reference=False)
+    else:
+        mat, _ = random_sparse_matrix(np.random.default_rng(41), 60, 20)
+        system = kl.LinearSystem(mat, np.random.default_rng(42).standard_normal(60))
+    if engine == "rek":
+        step, block_of, length = rek_step, (lambda st: st.rek_draws), _REK_BLOCK
+    else:
+        step = functools.partial(sampled_step, eta_s=eta_s)
+        block_of, length = (lambda st: st.subsets), SUBSET_BLOCK
+    for copy_after in (5, length):
+        # a sampled step takes a second subset when the first one scores zero
+        st = init_state(system, seed=5)
+        while block_of(st) is None or block_of(st).used < copy_after:
+            step(st, system)
+        assert block_of(st).used == copy_after
+        twin = copy.deepcopy(st)
+        for _ in range(2 * length + 5):
+            a, b = step(st, system), step(twin, system)
+            assert (a.kind, a.row, a.col) == (b.kind, b.row, b.col), copy_after
+        assert st.x.tobytes() == twin.x.tobytes() and st.z.tobytes() == twin.z.tobytes()
 
 
 def test_sampled_replay_deterministic():

@@ -20,6 +20,15 @@ bit for bit.  Every other line ends in two hashes, ``<picks> <state>``:
 So a change that only rounds differently keeps ``picks`` and moves
 ``state``, and a change that alters the selection moves both.
 
+``tools/trajectory_hash.txt`` holds the lines of the committed code, and
+
+    python3 tools/trajectory_hash.py | diff tools/trajectory_hash.txt -
+
+prints nothing when a change keeps every trajectory.  A change that moves a
+hash on purpose updates that file in the same commit.  The file was printed
+with numpy 2.4 and scipy 1.17 on an x86-64 Xeon; another CPU or BLAS may
+round differently and move ``state`` hashes without any change to the code.
+
 Trajectories: each engine runs ``STEPS`` steps from ``init_state`` for each
 seed in ``SEEDS`` on a dense 200x50, a sparse 3000x60, a sparse 12000x500
 and an N=16 tomography system.  The 12000x500 matrix has one full row and
