@@ -15,6 +15,7 @@ import numpy as np
 import scipy.io
 
 from .errors import (
+    NonFiniteEntry,
     OracleNotConverged,
     ParseError,
     TrivialNullSpace,
@@ -38,12 +39,15 @@ __all__ = [
 DEFAULT_ORACLE_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LinearSystem:
     """A matrix, a right-hand side, and (optionally) the reference solution.
 
     ``x_star`` is the least-norm least-squares solution and ``z_star`` the
     component of b orthogonal to the column space, ``z_star = b - A x_star``.
+    A system is immutable, as its matrix is: it holds read-only copies of
+    its vectors, and ``copy.copy`` and ``copy.deepcopy`` return it.  Its
+    matrix must have finite line norms, which the engines divide by.
     """
 
     mat: RowColMatrix
@@ -53,11 +57,19 @@ class LinearSystem:
     provenance: str = ""
 
     def __post_init__(self):
-        self.b = as_vector(self.b, length=self.mat.m, name="b")
-        if self.x_star is not None:
-            self.x_star = as_vector(self.x_star, length=self.mat.n, name="x_star")
-        if self.z_star is not None:
-            self.z_star = as_vector(self.z_star, length=self.mat.m, name="z_star")
+        if not math.isfinite(self.mat.frob_sq):
+            raise NonFiniteEntry("squared matrix norm overflows; the engines divide by the "
+                                 "squared row and column norms")
+        for name, length in (("b", self.mat.m), ("x_star", self.mat.n), ("z_star", self.mat.m)):
+            if getattr(self, name) is not None:
+                v = as_vector(getattr(self, name), length=length, name=name).copy()
+                v.flags.writeable = False
+                object.__setattr__(self, name, v)
+
+    def __deepcopy__(self, memo=None):  # immutable
+        return self
+
+    __copy__ = __deepcopy__
 
     def with_reference(self, oracle_tol: float = DEFAULT_ORACLE_TOL) -> "LinearSystem":
         """Return a copy carrying the oracle solution."""

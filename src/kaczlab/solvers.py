@@ -2,9 +2,8 @@
 
 Four engines share one :class:`SolverState` layout:
 
-* ``rek``: independent weighted row and column draws every step (taken
-  ``_REK_BLOCK`` steps ahead); the column projection cleans z, the row
-  projection refreshes x against b - z.
+* ``rek``: independent weighted row and column draws every step; the column
+  projection cleans z, the row projection refreshes x against b - z.
 * ``grak``: greedy thresholding over the stacked residual builds candidate
   index sets, then one stacked index is drawn with probability proportional
   to its squared residual.  Column branches leave x untouched.
@@ -12,36 +11,37 @@ Four engines share one :class:`SolverState` layout:
   criteria and, on column branches, additionally refreshes x along one
   weighted-randomly chosen row.
 * ``sampled``: evaluates the same criteria only on a small uniformly sampled
-  index subset, a fresh one every iteration (drawn a block of iterations
-  ahead); branches as in ``agrak``.
+  index subset, a fresh one every iteration; branches as in ``agrak``.
 
 Every engine moves the iterate through three projection helpers: a
 stacked-row projection (z_i and x), a column projection (z) and an x refresh
-along one row (x).  Each takes the residual entry it zeroes and computes its
-own step length.  The public projections ``augmented_row_update``,
-``column_z_update`` and ``kaczmarz_row_project`` are thin copy-returning
-wrappers over these same helpers.  ``agrak`` and ``sampled`` share one
-stacked argmax and one branch routine; they differ in where their residual
-entries come from.
+along one row (x).  Each takes the arrays it moves, the residual entry it
+zeroes and the residuals it keeps in step (grak's and agrak's, else None),
+and computes its own step length.  The public projections
+``augmented_row_update``, ``column_z_update`` and ``kaczmarz_row_project``
+are thin copy-returning wrappers over these same helpers.  ``agrak`` and
+``sampled`` share one stacked argmax and one branch routine; they differ in
+where their residual entries come from.
 
 ``grak`` and ``agrak`` need the full residuals b - z - A x and A^T z each
-step.  ``state.residuals`` holds them, updated by the projection helpers
-(one row or column of the Gram products, which the matrix memoizes per index
-where its side fits ``GRAM_MEMO_ENTRIES``) and rebuilt after
-``RESIDUAL_REFRESH`` updates to cap drift, or when the step's system,
-``state.x`` or ``state.z`` is not theirs.  It also holds their normalized
-squared criteria; on sparse storage the row criteria are recomputed only on
-the entries the previous step wrote.  ``sampled`` and ``rek`` never form
-full residuals, so they never fill the memo; that is their point.
+step, kept by the projection helpers (one row or column of the Gram
+products, which the matrix memoizes per index where its side fits
+``GRAM_MEMO_ENTRIES``) and rebuilt after ``RESIDUAL_REFRESH`` updates to cap
+drift.  They also hold their normalized squared criteria; on sparse storage
+the row criteria are recomputed only on the entries the previous step
+wrote.  ``sampled`` and ``rek`` never form full residuals, so they never
+fill the memo; that is their point.  They draw ``_DRAW_BLOCK`` steps ahead
+instead (rek its row and column pairs, sampled its subsets), so after such
+steps a stream shared with other engines sits further along than one draw
+per step would leave it.
 
-A state carries three engine caches, each rebuilt by its own rule and all
-three dropped by ``SolverState.invalidate()``: ``residuals`` (grak, agrak),
-``subsets`` (sampled) and ``rek_draws`` (rek).  The last two are drawn ahead
-from the state's stream, so after such steps a stream shared with other
-engines sits further along than one draw per step would leave it.  Both
-blocks belong to a matrix (sampled's also to a subset size), never to a
-system, so a deep copy, which shares the immutable matrix, replays them; a
-copied grak or agrak state rebuilds its residuals.
+One cache rule: a state carries one engine cache, that of the engine that
+last stepped it, keyed on immutable inputs: the residuals on the system and
+the iterate arrays, rek's draws on the matrix, sampled's subsets on the
+matrix and the subset size.  A step rebuilds the cache when it is another
+engine's, is spent, or is keyed on other inputs than the step's.  Systems
+and matrices are immutable, and a copy of a state shares them, so a
+deep-copied state replays its original bit for bit.
 """
 
 from __future__ import annotations
@@ -94,39 +94,35 @@ RESIDUAL_REFRESH = 1000
 # system the two passes cost about the same at a tenth
 _TOUCHED_FRACTION = 0.1
 
-# subsets the sampled engine draws and gathers at a time
-SUBSET_BLOCK = 32
-
-# steps whose row and column draws rek takes at a time
-_REK_BLOCK = 32
+# steps whose draws rek (row and column pairs) and sampled (subsets) take at a time
+_DRAW_BLOCK = 32
 
 
 @dataclass
 class SolverState:
-    """Iterate pair, step counter and the engine's private random stream.
+    """Iterate pair, step counter, the engine's private random stream and
+    one engine cache.
 
     ``x`` starts in range(A^T) (zero by default) and ``z`` at b; every step
-    function advances ``k`` by exactly one.  Three engine caches follow the
-    step's system: ``residuals`` (grak, agrak) and, drawn ahead from ``rng``
-    and keyed on the matrix, ``subsets`` (sampled) and ``rek_draws`` (rek).
-    So a state may be stepped on another system or deep-copied (a copy shares
-    the matrix, so its blocks replay), and a new array may be assigned to
-    ``x`` or ``z``.  After writing into them in place, call
-    ``invalidate()``, which drops all three; the unused draws it drops leave
-    the law of the next block, drawn fresh from the stream, unchanged.
+    function advances ``k`` by exactly one.  ``cache`` holds the cache of the
+    engine that last stepped the state, keyed on immutable inputs (see the
+    module docstring).  So a state may be stepped by any engine on any system
+    or deep-copied, and a new array may be assigned to ``x`` or ``z``.  After
+    writing into them in place, call ``invalidate()``; the unused draws it
+    drops leave the law of the next block, drawn fresh from the stream,
+    unchanged.
     """
 
     x: np.ndarray
     z: np.ndarray
     k: int
     rng: RngStream
-    residuals: _Residuals | None = field(default=None, repr=False, compare=False)
-    subsets: _SubsetBlock | None = field(default=None, repr=False, compare=False)
-    rek_draws: _RekDraws | None = field(default=None, repr=False, compare=False)
+    cache: _Residuals | _SubsetBlock | _RekDraws | None = field(
+        default=None, repr=False, compare=False)
 
     def invalidate(self) -> None:
-        """Drop the three engine caches; the next step rebuilds what it needs."""
-        self.residuals = self.subsets = self.rek_draws = None
+        """Drop the engine cache; the next step rebuilds it."""
+        self.cache = None
 
 
 @dataclass
@@ -200,10 +196,10 @@ class _Residuals:
     def of(cls, state: SolverState, system) -> _Residuals:
         """The state's residuals for a step on ``system``, rebuilt after
         ``RESIDUAL_REFRESH`` updates or when their system, x or z is not the step's."""
-        res = state.residuals
-        if (res is None or res.updates >= RESIDUAL_REFRESH or res.system is not system
+        res = state.cache
+        if (type(res) is not cls or res.updates >= RESIDUAL_REFRESH or res.system is not system
                 or res.x is not state.x or res.z is not state.z):
-            res = state.residuals = cls(system, state.x, state.z)
+            res = state.cache = cls(system, state.x, state.z)
         return res
 
     def touch(self, idx) -> None:
@@ -242,21 +238,12 @@ class _Residuals:
         return self.row_crit, self.col_crit
 
 
-def _tracked(state: SolverState, mat) -> _Residuals | None:
-    """The residuals a projection on ``mat`` keeps in step; another matrix's are dropped."""
-    res = state.residuals
-    if res is not None and res.mat is not mat:
-        res = state.residuals = None
-    return res
-
-
-def _apply_stacked_row(state: SolverState, mat, i: int, r: float) -> float:
+def _apply_stacked_row(mat, i: int, r: float, x, z, res: _Residuals | None) -> float:
     """Zero stacked residual r = b_i - z_i - A^(i) x: with d = r / (1 + ||A^(i)||^2),
-    z_i += d and x += d * A^(i), residual caches in sync.  Returns d."""
+    z_i += d and x += d * A^(i), ``res`` in step.  Returns d."""
     d = r / mat.aug_row_norms_sq[i]
-    state.z[i] += d
-    mat.add_row_to(state.x, i, d)
-    res = _tracked(state, mat)
+    z[i] += d
+    mat.add_row_to(x, i, d)
     if res is not None:
         res.row[i] -= d
         res.touch((i,))
@@ -266,12 +253,11 @@ def _apply_stacked_row(state: SolverState, mat, i: int, r: float) -> float:
     return d
 
 
-def _apply_column_projection(state: SolverState, mat, j: int, s: float) -> float:
-    """Zero s = A_(j) . z: with c = s / ||A_(j)||^2, z -= c * A_(j), residual
-    caches in sync.  Returns c."""
+def _apply_column_projection(mat, j: int, s: float, z, res: _Residuals | None) -> float:
+    """Zero s = A_(j) . z: with c = s / ||A_(j)||^2, z -= c * A_(j), ``res`` in
+    step.  Returns c."""
     c = s / mat.col_norms_sq[j]
-    mat.add_col_to(state.z, j, -c)
-    res = _tracked(state, mat)
+    mat.add_col_to(z, j, -c)
     if res is not None:
         res.touch(mat.add_col_to(res.row, j, c))
         mat.gram_col_update(res.col, j, -c)
@@ -279,12 +265,11 @@ def _apply_column_projection(state: SolverState, mat, j: int, s: float) -> float
     return c
 
 
-def _apply_x_refresh(state: SolverState, mat, i: int, r: float) -> float:
+def _apply_x_refresh(mat, i: int, r: float, x, res: _Residuals | None) -> float:
     """Zero row residual r: with d = r / ||A^(i)||^2, x += d * A^(i) only (z
-    untouched), residual caches in sync.  Returns d."""
+    untouched), ``res`` in step.  Returns d."""
     d = r / mat.row_norms_sq[i]
-    mat.add_row_to(state.x, i, d)
-    res = _tracked(state, mat)
+    mat.add_row_to(x, i, d)
     if res is not None:
         res.touch(mat.gram_row_update(res.row, i, -d))
         res.updates += 1
@@ -296,7 +281,7 @@ def kaczmarz_row_project(x, i: int, rhs_i: float, mat: RowColMatrix) -> np.ndarr
     new vector: the engines' x refresh, run on a copy."""
     mat._check_row(i)
     x = as_vector(x, length=mat.n, name="x").copy()
-    _apply_x_refresh(SolverState(x, None, 0, None), mat, i, rhs_i - mat.row_dot(i, x))
+    _apply_x_refresh(mat, i, rhs_i - mat.row_dot(i, x), x, None)
     return x
 
 
@@ -307,7 +292,7 @@ def augmented_row_update(z, x, i: int, b, mat: RowColMatrix):
     z = as_vector(z, length=mat.m, name="z").copy()
     x = as_vector(x, length=mat.n, name="x").copy()
     b = as_vector(b, length=mat.m, name="b")
-    _apply_stacked_row(SolverState(x, z, 0, None), mat, i, b[i] - z[i] - mat.row_dot(i, x))
+    _apply_stacked_row(mat, i, b[i] - z[i] - mat.row_dot(i, x), x, z, None)
     return z, x
 
 
@@ -316,7 +301,7 @@ def column_z_update(z, j: int, mat: RowColMatrix) -> np.ndarray:
     (``A_(j) . z = 0`` up to rounding): the engines' column projection."""
     mat._check_col(j)
     z = as_vector(z, length=mat.m, name="z").copy()
-    _apply_column_projection(SolverState(None, z, 0, None), mat, j, mat.col_dot(j, z))
+    _apply_column_projection(mat, j, mat.col_dot(j, z), z, None)
     return z
 
 
@@ -342,9 +327,10 @@ def _stacked_argmax(row_crit: np.ndarray, col_crit: np.ndarray):
     return row_crit.shape[0] + j_best, max_col
 
 
-def _accelerated_branch(state: SolverState, system, t: int, value: float,
+def _accelerated_branch(state: SolverState, system, t: int, value: float, res,
                         row_residual, col_residual) -> StepOutcome:
-    """Project stacked index t as ``agrak`` and ``sampled`` do.
+    """Project stacked index t as ``agrak`` and ``sampled`` do, keeping ``res``
+    (agrak's residuals, or None) in step.
 
     A row index takes the stacked-row projection; a column index cleans z
     and then refreshes x along one weighted-randomly drawn row.
@@ -353,14 +339,14 @@ def _accelerated_branch(state: SolverState, system, t: int, value: float,
     """
     mat = system.mat
     if t < mat.m:
-        _apply_stacked_row(state, mat, t, row_residual(t))
+        _apply_stacked_row(mat, t, row_residual(t), state.x, state.z, res)
         out = StepOutcome("row", row=t, value=value)
     else:
         j = t - mat.m
-        _apply_column_projection(state, mat, j, col_residual(j))
+        _apply_column_projection(mat, j, col_residual(j), state.z, res)
         i = weighted_row_sample(mat, state.rng)
         # read after the column projection: b_i - z_i - A^(i) x of the new z
-        _apply_x_refresh(state, mat, i, row_residual(i))
+        _apply_x_refresh(mat, i, row_residual(i), state.x, res)
         out = StepOutcome("col", row=i, col=j, value=value)
     state.k += 1
     return out
@@ -372,7 +358,7 @@ def _accelerated_branch(state: SolverState, system, t: int, value: float,
 
 
 class _RekDraws:
-    """The next ``_REK_BLOCK`` (row, column) index pairs of a rek run.
+    """The next ``_DRAW_BLOCK`` (row, column) index pairs of a rek run.
 
     Drawn in one call from the state's stream; the pairs are what a
     ``weighted_row_sample`` and a ``weighted_column_sample`` per step would
@@ -382,16 +368,16 @@ class _RekDraws:
 
     def __init__(self, mat: RowColMatrix, rng: RngStream):
         self.mat = mat
-        self.rows, self.cols = _weighted_row_col_pairs(mat, _REK_BLOCK, rng)
+        self.rows, self.cols = _weighted_row_col_pairs(mat, _DRAW_BLOCK, rng)
         self.used = 0
 
     @classmethod
     def of(cls, state: SolverState, mat) -> _RekDraws:
         """The state's block for a step on ``mat``, drawn anew when spent or when
         its matrix is not the step's."""
-        block = state.rek_draws
-        if block is None or block.used >= _REK_BLOCK or block.mat is not mat:
-            block = state.rek_draws = cls(mat, state.rng)
+        block = state.cache
+        if type(block) is not cls or block.used >= _DRAW_BLOCK or block.mat is not mat:
+            block = state.cache = cls(mat, state.rng)
         return block
 
     def take(self) -> tuple[int, int]:
@@ -402,14 +388,11 @@ class _RekDraws:
 
 def rek_step(state: SolverState, system) -> StepOutcome:
     """One extended-Kaczmarz step: weighted column draw cleans z, weighted
-    row draw projects x onto the updated equation A^(i) x = b_i - z_i.
-
-    The draws are taken ``_REK_BLOCK`` steps ahead and kept in
-    ``state.rek_draws``."""
+    row draw projects x onto the updated equation A^(i) x = b_i - z_i."""
     mat = system.mat
     i, j = _RekDraws.of(state, mat).take()
-    _apply_column_projection(state, mat, j, mat.col_dot(j, state.z))
-    d = _apply_x_refresh(state, mat, i, _fresh_row_residual(state, system, i))
+    _apply_column_projection(mat, j, mat.col_dot(j, state.z), state.z, None)
+    d = _apply_x_refresh(mat, i, _fresh_row_residual(state, system, i), state.x, None)
     state.k += 1
     return StepOutcome("col", row=i, col=j, value=abs(d))
 
@@ -464,14 +447,15 @@ def grak_step(state: SolverState, system) -> StepOutcome:
         t = grak_residual_sample(sel, state.rng)
     except ZeroResidual:
         return StepOutcome("converged")
+    res = _Residuals.of(state, system)  # the residuals the selection read
     if t < mat.m:
         r = sel.residual_row[t]
-        _apply_stacked_row(state, mat, t, r)
+        _apply_stacked_row(mat, t, r, state.x, state.z, res)
         out = StepOutcome("row", row=t, value=float(r * r / mat.aug_row_norms_sq[t]))
     else:
         j = t - mat.m
         s = sel.residual_col[j]
-        _apply_column_projection(state, mat, j, s)
+        _apply_column_projection(mat, j, s, state.z, res)
         out = StepOutcome("col", col=j, value=float(s * s / mat.col_norms_sq[j]))
     state.k += 1
     return out
@@ -488,11 +472,12 @@ def agrak_step(state: SolverState, system) -> StepOutcome:
     if t is None:
         return StepOutcome("converged")
     # the projection helpers keep res.row and res.col in step with the iterate
-    return _accelerated_branch(state, system, t, value, res.row.__getitem__, res.col.__getitem__)
+    return _accelerated_branch(state, system, t, value, res,
+                               res.row.__getitem__, res.col.__getitem__)
 
 
 class _SubsetBlock:
-    """The next ``SUBSET_BLOCK`` subsets of a sampled run, gathered once.
+    """The next ``_DRAW_BLOCK`` subsets of a sampled run, gathered once.
 
     Drawn in one call from the state's stream; each subset is what
     ``simple_random_subset`` would have returned at that point of the
@@ -506,7 +491,7 @@ class _SubsetBlock:
 
     def __init__(self, mat: RowColMatrix, k: int, rng: RngStream):
         self.mat, self.k = mat, k
-        subsets = simple_random_subsets(mat.m, mat.n, k, SUBSET_BLOCK, rng)
+        subsets = simple_random_subsets(mat.m, mat.n, k, _DRAW_BLOCK, rng)
         is_row = subsets < mat.m
         row_counts = np.count_nonzero(is_row, axis=1)
         self.row_bounds = np.concatenate(([0], np.cumsum(row_counts))).tolist()
@@ -522,9 +507,10 @@ class _SubsetBlock:
     def of(cls, state: SolverState, mat, k: int) -> _SubsetBlock:
         """The state's block for a step on ``mat`` with size-k subsets, drawn
         anew when spent or when its matrix or subset size is not the step's."""
-        block = state.subsets
-        if block is None or block.used >= SUBSET_BLOCK or block.mat is not mat or block.k != k:
-            block = state.subsets = cls(mat, k, state.rng)
+        block = state.cache
+        if (type(block) is not cls or block.used >= _DRAW_BLOCK or block.mat is not mat
+                or block.k != k):
+            block = state.cache = cls(mat, k, state.rng)
         return block
 
     def take(self, b: np.ndarray, x: np.ndarray, z: np.ndarray):
@@ -570,8 +556,7 @@ def sampled_step(state: SolverState, system, eta_s: float = 0.01) -> StepOutcome
 
     A fresh uniform subset of stacked indices is taken, the greedy criterion
     is evaluated only there, and the winning index is projected exactly as in
-    the accelerated engine.  No full residual is ever formed.  Subsets are
-    drawn ``SUBSET_BLOCK`` at a time and kept in ``state.subsets``.  If the
+    the accelerated engine.  No full residual is ever formed.  If the
     sampled criteria all vanish the next subset is tried; if they still
     vanish the full residual decides between convergence and a full-sweep
     fallback.
@@ -586,7 +571,7 @@ def sampled_step(state: SolverState, system, eta_s: float = 0.01) -> StepOutcome
         t, value = _stacked_argmax(*_Residuals(system, state.x, state.z).criteria())
         if t is None:
             return StepOutcome("converged")
-    return _accelerated_branch(state, system, t, value,
+    return _accelerated_branch(state, system, t, value, None,
                                partial(_fresh_row_residual, state, system),
                                partial(mat.col_dot, z=state.z))
 

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import os
 
@@ -6,6 +8,7 @@ import pytest
 
 from kaczlab import (
     LinearSystem,
+    NonFiniteEntry,
     OracleNotConverged,
     ParseError,
     TrivialNullSpace,
@@ -241,6 +244,30 @@ def test_linear_system_reference_invariants():
     assert np.linalg.norm(resid) <= 1e-12 * math.sqrt(mat.frob_sq) * np.linalg.norm(b)
     np.testing.assert_allclose(system.z_star, b - mat.matvec(system.x_star),
                                rtol=1e-10, atol=1e-12)
+
+
+def test_linear_system_is_immutable():
+    b = np.arange(1.0, 4.0)
+    system = LinearSystem(build_matrix([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]), b,
+                          x_star=[0.5, 0.5])
+    b[0] = 9.0
+    assert system.b[0] == 1.0  # a copy, not the caller's array
+    for vec in (system.b, system.x_star):
+        with pytest.raises(ValueError, match="read-only"):
+            vec[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        system.b = b
+    assert copy.copy(system) is system and copy.deepcopy(system) is system
+    assert copy.deepcopy([system])[0] is system
+
+
+def test_linear_system_rejects_overflowing_norms():
+    # the matrix itself keeps values near 1e300 (they round-trip through
+    # Matrix Market), but every engine divides by its inf line norms
+    mat = build_matrix([[1e300, 1.0], [2.0, 3.0], [1.0, 1.0]])
+    assert mat.row_norms_sq[0] == np.inf
+    with pytest.raises(NonFiniteEntry, match="engines divide by"):
+        LinearSystem(mat, np.ones(3))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from kaczlab import (
     weighted_row_sample,
 )
 from kaczlab.sampling import _first_distinct, _sample_without_replacement, simple_random_subsets
-from kaczlab.solvers import SUBSET_BLOCK, GreedySelection, _SubsetBlock
+from kaczlab.solvers import _DRAW_BLOCK, GreedySelection, _SubsetBlock
 
 
 def test_stream_reproducible():
@@ -190,7 +190,7 @@ def _engine_subsets(m, n, k, blocks, seed):
     out = []
     for _ in range(blocks):
         blk = _SubsetBlock(system.mat, k, rng)
-        for j in range(SUBSET_BLOCK):
+        for j in range(_DRAW_BLOCK):
             rows = blk.rows[blk.row_bounds[j]:blk.row_bounds[j + 1]]
             cols = blk.cols[blk.col_bounds[j]:blk.col_bounds[j + 1]]
             out.append(tuple(rows.tolist()) + tuple((cols + m).tolist()))
@@ -209,7 +209,7 @@ def _uniform_ok(samples, outcomes):
 def test_engine_subsets_uniform_over_all_subsets(m, n, k):
     # the first two take the batched draw, the last two the shuffle
     outcomes = list(itertools.combinations(range(m + n), k))
-    blocks = max(4000, 400 * len(outcomes)) // SUBSET_BLOCK
+    blocks = max(4000, 400 * len(outcomes)) // _DRAW_BLOCK
     assert _uniform_ok(_engine_subsets(m, n, k, blocks, seed=m * n + k), outcomes)
 
 
@@ -223,7 +223,7 @@ def test_engine_subsets_independent_within_and_across_blocks():
     inside = [subsets[i] + subsets[i + 1]
               for i in range(0, len(subsets), 2)]
     across = [subsets[i - 1] + subsets[i]
-              for i in range(SUBSET_BLOCK, len(subsets), SUBSET_BLOCK)]
+              for i in range(_DRAW_BLOCK, len(subsets), _DRAW_BLOCK)]
     assert _uniform_ok(inside, pairs)
     assert _uniform_ok(across, pairs)
 

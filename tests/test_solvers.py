@@ -5,17 +5,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies
 
 import kaczlab as kl
 from kaczlab import RngStream, build_matrix
 from kaczlab.sampling import simple_random_subsets, subset_size
 from kaczlab.solvers import (
+    _DRAW_BLOCK,
     _TOUCHED_FRACTION,
-    _REK_BLOCK,
     RESIDUAL_REFRESH,
-    SUBSET_BLOCK,
     GreedySelection,
     _apply_column_projection,
+    _RekDraws,
+    _Residuals,
     _SubsetBlock,
     agrak_step,
     grak_build_selection,
@@ -99,7 +101,7 @@ def naive_agrak(A, b, iters, seed):
 
 def naive_sampled(A, b, iters, seed, eta_s):
     """Dense sampled engine; subsets come from ``simple_random_subset``,
-    SUBSET_BLOCK of them drawn whenever the previous ones are used up."""
+    _DRAW_BLOCK of them drawn whenever the previous ones are used up."""
     m, n = A.shape
     rn2 = (A * A).sum(1)
     cn2 = (A * A).sum(0)
@@ -109,7 +111,7 @@ def naive_sampled(A, b, iters, seed, eta_s):
     queue = []
     for _ in range(iters):
         if not queue:
-            queue = [kl.simple_random_subset(m, n, eta_s, rng) for _ in range(SUBSET_BLOCK)]
+            queue = [kl.simple_random_subset(m, n, eta_s, rng) for _ in range(_DRAW_BLOCK)]
         s = queue.pop(0)
         rcrit = (b - z - A @ x)[s.rows] ** 2 / (1.0 + rn2[s.rows])
         ccrit = (A.T @ z)[s.cols] ** 2 / cn2[s.cols]
@@ -197,38 +199,38 @@ def _interleaved_draws(mat, rng, steps):
 
 def test_rek_block_draws_match_per_step_draws():
     # a block holds the picks that a row and a column draw per step would
-    # have made; each new block starts 2 * _REK_BLOCK uniforms further along
+    # have made; each new block starts 2 * _DRAW_BLOCK uniforms further along
     sys_a = make_gaussian_system(60, 20, seed=51, with_reference=False)
     sys_b = make_gaussian_system(60, 20, seed=52, with_reference=False)
     steps = 100
-    assert steps > 3 * _REK_BLOCK
+    assert steps > 3 * _DRAW_BLOCK
     st = init_state(sys_a, seed=4)
     picks = [(o.row, o.col) for o in (rek_step(st, sys_a) for _ in range(steps))]
     assert picks == _interleaved_draws(sys_a.mat, RngStream(4), steps)
-    blocks = -(-steps // _REK_BLOCK)
+    blocks = -(-steps // _DRAW_BLOCK)
 
     def after(block_count, mat, count):
         ref = RngStream(4)
-        for _ in range(2 * _REK_BLOCK * block_count):
+        for _ in range(2 * _DRAW_BLOCK * block_count):
             ref.uniform()
         return _interleaved_draws(mat, ref, count)
 
     # another right-hand side on the same matrix keeps the block
-    block = st.rek_draws
+    block = st.cache
     rek_step(st, kl.LinearSystem(sys_a.mat, sys_b.b))
-    assert st.rek_draws is block and block.used == steps % _REK_BLOCK + 1
+    assert st.cache is block and block.used == steps % _DRAW_BLOCK + 1
     # another matrix draws a new block from where the stream stands
     out = rek_step(st, sys_b)
-    assert st.rek_draws.mat is sys_b.mat and st.rek_draws.used == 1
+    assert st.cache.mat is sys_b.mat and st.cache.used == 1
     assert [(out.row, out.col)] == after(blocks, sys_b.mat, 1)
     # invalidate() drops the block
     st.invalidate()
-    assert st.rek_draws is None
+    assert st.cache is None
     out = rek_step(st, sys_b)
     assert [(out.row, out.col)] == after(blocks + 1, sys_b.mat, 1)
     # a deep copy replays the same picks and iterates, across block ends
     twin = copy.deepcopy(st)
-    for _ in range(2 * _REK_BLOCK):
+    for _ in range(2 * _DRAW_BLOCK):
         a, b = rek_step(st, sys_b), rek_step(twin, sys_b)
         assert (a.row, a.col) == (b.row, b.col)
     np.testing.assert_array_equal(st.x, twin.x)
@@ -516,7 +518,7 @@ def test_sampled_block_criterion_matches_dense(rng):
         col_crit = (z @ dense) ** 2 / (dense * dense).sum(0)
         for k in (1, 12, 40):  # batched draw, batched draw, shuffle
             blk = _SubsetBlock(mat, k, RngStream(k))
-            for j in range(SUBSET_BLOCK):
+            for j in range(_DRAW_BLOCK):
                 rows = blk.rows[blk.row_bounds[j]:blk.row_bounds[j + 1]]
                 cols = blk.cols[blk.col_bounds[j]:blk.col_bounds[j + 1]]
                 assert rows.size + cols.size == k
@@ -527,7 +529,7 @@ def test_sampled_block_criterion_matches_dense(rng):
                              else m + cols[best - rows.size]), name
                 np.testing.assert_allclose(value, crit[best], rtol=1e-12)
             spent = init_state(system, seed=0)
-            spent.subsets = blk
+            spent.cache = blk
             assert _SubsetBlock.of(spent, mat, k) is not blk
 
 
@@ -575,7 +577,7 @@ def _block_subsets(block):
     return np.stack([np.concatenate([
         block.rows[block.row_bounds[j]:block.row_bounds[j + 1]],
         block.cols[block.col_bounds[j]:block.col_bounds[j + 1]] + block.mat.m])
-        for j in range(SUBSET_BLOCK)])
+        for j in range(_DRAW_BLOCK)])
 
 
 def test_sampled_block_draws_follow_matrix():
@@ -589,27 +591,27 @@ def test_sampled_block_draws_follow_matrix():
     def step_drawing_block(system, eta_s):
         stream = copy.deepcopy(st.rng)
         sampled_step(st, system, eta_s=eta_s)
-        assert st.subsets.mat is system.mat and st.subsets.used == 1
+        assert st.cache.mat is system.mat and st.cache.used == 1
         expected = simple_random_subsets(60, 20, subset_size(60, 20, eta_s),
-                                         SUBSET_BLOCK, stream)
-        np.testing.assert_array_equal(_block_subsets(st.subsets), expected)
+                                         _DRAW_BLOCK, stream)
+        np.testing.assert_array_equal(_block_subsets(st.cache), expected)
 
     st = init_state(sys_a, seed=4)
     step_drawing_block(sys_a, 0.2)
-    for _ in range(SUBSET_BLOCK + 7):
+    for _ in range(_DRAW_BLOCK + 7):
         sampled_step(st, sys_a, eta_s=0.2)
     # another right-hand side on the same matrix keeps the block
-    block = st.subsets
+    block = st.cache
     assert block.used == 8
     sampled_step(st, kl.LinearSystem(sys_a.mat, sys_b.b), eta_s=0.2)
-    assert st.subsets is block and block.used == 9
+    assert st.cache is block and block.used == 9
     # another matrix draws a new block, and so does another subset size
     step_drawing_block(sys_b, 0.2)
     step_drawing_block(sys_b, 0.1)
-    assert st.subsets.k == subset_size(60, 20, 0.1) != k
+    assert st.cache.k == subset_size(60, 20, 0.1) != k
     # invalidate() drops the block
     st.invalidate()
-    assert st.subsets is None
+    assert st.cache is None
     step_drawing_block(sys_b, 0.1)
     # copies of a system share its matrix, which keys the block
     assert copy.deepcopy(sys_a).mat is sys_a.mat and copy.copy(sys_a.mat) is sys_a.mat
@@ -617,27 +619,36 @@ def test_sampled_block_draws_follow_matrix():
 
 @pytest.mark.parametrize("storage", ["dense", "sparse"])
 @pytest.mark.parametrize("engine,eta_s", [("rek", None), ("sampled", 0.01),
-                                          ("sampled", 0.2)])
+                                          ("sampled", 0.2), ("grak", None),
+                                          ("agrak", None)])
 def test_copied_state_replays(engine, eta_s, storage):
-    # a deep copy shares the immutable matrix its drawn-ahead block is keyed
-    # on, so, copied mid-block or with its block just spent, it makes the
-    # original's picks and reaches its iterates byte for byte
+    # a deep copy shares the immutable system and matrix its cache is keyed
+    # on, so, copied mid-block or with its block just spent (greedy engines:
+    # after a few updates or right after a RESIDUAL_REFRESH rebuild), it
+    # makes the original's picks and reaches its iterates byte for byte
     if storage == "dense":
         system = make_gaussian_system(60, 20, seed=41, with_reference=False)
     else:
         mat, _ = random_sparse_matrix(np.random.default_rng(41), 60, 20)
         system = kl.LinearSystem(mat, np.random.default_rng(42).standard_normal(60))
-    if engine == "rek":
-        step, block_of, length = rek_step, (lambda st: st.rek_draws), _REK_BLOCK
+    greedy = engine in ("grak", "agrak")
+    if greedy:
+        step = grak_step if engine == "grak" else agrak_step
+        count, length = (lambda cache: cache.updates), RESIDUAL_REFRESH
     else:
-        step = functools.partial(sampled_step, eta_s=eta_s)
-        block_of, length = (lambda st: st.subsets), SUBSET_BLOCK
+        step = rek_step if engine == "rek" else functools.partial(sampled_step, eta_s=eta_s)
+        count, length = (lambda cache: cache.used), _DRAW_BLOCK
     for copy_after in (5, length):
-        # a sampled step takes a second subset when the first one scores zero
+        # a sampled step takes a second subset when the first one scores zero,
+        # and an agrak column step makes two updates
         st = init_state(system, seed=5)
-        while block_of(st) is None or block_of(st).used < copy_after:
+        while st.cache is None or count(st.cache) < copy_after:
             step(st, system)
-        assert block_of(st).used == copy_after
+        assert greedy or count(st.cache) == copy_after
+        if greedy and copy_after == length:
+            spent = st.cache
+            step(st, system)
+            assert st.cache is not spent  # the RESIDUAL_REFRESH rebuild
         twin = copy.deepcopy(st)
         for _ in range(2 * length + 5):
             a, b = step(st, system), step(twin, system)
@@ -785,7 +796,7 @@ def test_residual_cache_matches_truth_after_many_steps():
     st = init_state(system, seed=7)
     for _ in range(3000):
         agrak_step(st, system)
-    rr, rc = st.residuals.row, st.residuals.col
+    rr, rc = st.cache.row, st.cache.col
     true_rr = system.b - st.z - system.mat.matvec(st.x)
     true_rc = system.mat.rmatvec(st.z)
     scale = max(np.linalg.norm(system.b), 1.0)
@@ -836,8 +847,72 @@ def test_residual_cache_follows_assigned_iterate(step):
         np.testing.assert_array_equal(st.x, twin.x, err_msg=move.__name__)
         np.testing.assert_array_equal(st.z, twin.z, err_msg=move.__name__)
         true_rr = target.b - st.z - target.mat.matvec(st.x)
-        rr = st.residuals.row
+        rr = st.cache.row
         assert np.linalg.norm(rr - true_rr) <= 1e-12 * np.linalg.norm(true_rr), move.__name__
+
+
+_ENGINE_STEPS = {"rek": rek_step, "grak": grak_step, "agrak": agrak_step,
+                 "sampled": functools.partial(sampled_step, eta_s=0.3)}
+_ENGINE_CACHE = {"rek": _RekDraws, "grak": _Residuals, "agrak": _Residuals,
+                 "sampled": _SubsetBlock}
+
+
+@functools.cache
+def _mixed_step_systems(storage):
+    """Two 12 x 5 systems sharing a matrix, and a third on another matrix."""
+    rng = np.random.default_rng(71)
+    if storage == "dense":
+        mats = [build_matrix(rng.standard_normal((12, 5))) for _ in range(2)]
+    else:
+        mats = [random_sparse_matrix(rng, 12, 5)[0] for _ in range(2)]
+    b = rng.standard_normal((3, 12))
+    return tuple(kl.LinearSystem(mat, rhs) for mat, rhs in zip(mats[:1] + mats, b))
+
+
+@given(storage=strategies.sampled_from(["dense", "sparse"]),
+       seed=strategies.integers(0, 2**16),
+       moves=strategies.lists(strategies.tuples(
+           strategies.sampled_from([*_ENGINE_STEPS, "assign x", "write and invalidate"]),
+           strategies.integers(0, 2)), min_size=1, max_size=30))
+def test_step_invariants_over_mixed_sequences(storage, seed, moves):
+    # whichever engines, systems and caller writes came before, a row step
+    # zeroes its equation, a column step zeroes A_(j)^T z, the state holds the
+    # last engine's cache, and cached residuals match a fresh recompute
+    systems = _mixed_step_systems(storage)
+    st = init_state(systems[0], seed)
+    for move, which in moves:
+        system = systems[which]
+        mat, b = system.mat, system.b
+        if move == "assign x":
+            st.x = st.x + mat.rmatvec(b) / mat.frob_sq
+            continue
+        if move == "write and invalidate":
+            st.x *= 0.5
+            st.z[which] += 0.5
+            st.invalidate()
+            continue
+        out = _ENGINE_STEPS[move](st, system)
+        assert isinstance(st.cache, _ENGINE_CACHE[move])
+        x_norm, z_norm = np.linalg.norm(st.x), np.linalg.norm(st.z)
+        if out.col is not None:
+            j = out.col
+            assert abs(mat.col_dot(j, st.z)) <= 1e-12 * np.sqrt(mat.col_norms_sq[j]) * z_norm
+        if out.row is not None:
+            i = out.row
+            scale = 1.0 + abs(b[i]) + abs(st.z[i]) + np.sqrt(mat.row_norms_sq[i]) * x_norm
+            assert abs(b[i] - st.z[i] - mat.row_dot(i, st.x)) <= 1e-12 * scale
+        if isinstance(st.cache, _Residuals):
+            res = st.cache
+            assert res.system is system and res.x is st.x and res.z is st.z
+            row, col = b - st.z - mat.matvec(st.x), mat.rmatvec(st.z)
+            atol = 1e-12 * (1.0 + np.linalg.norm(b) + z_norm + np.sqrt(mat.frob_sq) * x_norm)
+            np.testing.assert_allclose(res.row, row, rtol=0, atol=atol)
+            np.testing.assert_allclose(res.col, col, rtol=0, atol=atol * np.sqrt(mat.frob_sq))
+            row_crit, col_crit = res.criteria()
+            np.testing.assert_allclose(row_crit, row * row / mat.aug_row_norms_sq,
+                                       rtol=1e-9, atol=atol * atol)
+            np.testing.assert_allclose(col_crit, col * col / mat.col_norms_sq,
+                                       rtol=1e-9, atol=atol * atol * mat.frob_sq)
 
 
 @pytest.mark.parametrize("step", [grak_step, agrak_step])
@@ -850,16 +925,16 @@ def test_residual_cache_refreshes_after_refresh_updates(step):
     step(st, system)
     refreshes = 0
     for _ in range(2 * RESIDUAL_REFRESH + 100):
-        res, before = st.residuals, st.residuals.updates
+        res, before = st.cache, st.cache.updates
         out = step(st, system)
         if before >= RESIDUAL_REFRESH:
-            assert st.residuals is not res
+            assert st.cache is not res
             refreshes += 1
             before = 0
         else:
-            assert st.residuals is res
+            assert st.cache is res
         made = 2 if step is agrak_step and out.kind == "col" else 1
-        assert st.residuals.updates == before + made
+        assert st.cache.updates == before + made
     assert refreshes >= 2
 
 
@@ -891,7 +966,7 @@ def test_touched_criteria_match_full_recompute(storage, monkeypatch):
     seen = set()
 
     def check(st, label):
-        res = st.residuals
+        res = st.cache
         seen.add((label, "full" if res.touched is None else "touched"))
         row_crit, col_crit = res.criteria()
         full_row = res.row * res.row
@@ -905,20 +980,20 @@ def test_touched_criteria_match_full_recompute(storage, monkeypatch):
     rebuilt = 0
     for step in (grak_step, agrak_step, grak_step):
         for _ in range(60):
-            res = st.residuals
+            res = st.cache
             out = step(st, system)
-            rebuilt += res is not None and st.residuals is not res
+            rebuilt += res is not None and st.cache is not res
             check(st, f"{step.__name__} {out.kind}")
     assert rebuilt >= 2  # RESIDUAL_REFRESH rebuilds
     # a column past the fallback fraction
     j = mat.n - 1
-    _apply_column_projection(st, mat, j, mat.col_dot(j, st.z))
-    assert st.residuals.touched is None
+    _apply_column_projection(mat, j, mat.col_dot(j, st.z), st.z, st.cache)
+    assert st.cache.touched is None
     check(st, "long column")
     # rek on another matrix drops the residuals; the next greedy step rebuilds
     for _ in range(3):
         rek_step(st, other)
-    assert st.residuals is None
+    assert isinstance(st.cache, _RekDraws)
     for step in (grak_step, agrak_step):
         out = step(st, system)
         check(st, f"{step.__name__} {out.kind} after rek")
