@@ -39,6 +39,13 @@ __all__ = [
 DEFAULT_ORACLE_TOL = 1e-12
 
 
+def _check_finite_norms(mat: RowColMatrix) -> None:
+    """Raise :class:`NonFiniteEntry` when the squared norm of ``mat`` overflows."""
+    if not math.isfinite(mat.frob_sq):
+        raise NonFiniteEntry("squared matrix norm overflows; the engines divide by the "
+                             "squared row and column norms")
+
+
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
     """A matrix, a right-hand side, and (optionally) the reference solution.
@@ -57,9 +64,7 @@ class LinearSystem:
     provenance: str = ""
 
     def __post_init__(self):
-        if not math.isfinite(self.mat.frob_sq):
-            raise NonFiniteEntry("squared matrix norm overflows; the engines divide by the "
-                                 "squared row and column norms")
+        _check_finite_norms(self.mat)
         for name, length in (("b", self.mat.m), ("x_star", self.mat.n), ("z_star", self.mat.m)):
             if getattr(self, name) is not None:
                 v = as_vector(getattr(self, name), length=length, name=name).copy()
@@ -261,7 +266,9 @@ def reference_solution(mat: RowColMatrix, b, oracle_tol: float = DEFAULT_ORACLE_
     and ``||A^T z_star|| <= oracle_tol * ||A||_F * ||b||``.  CG gets
     4 min(m, n) + 200 iterations in all, over at most five restarts from
     the recomputed residual; past that it raises ``OracleNotConverged``.
+    A matrix whose squared norm overflows raises :class:`NonFiniteEntry`.
     """
+    _check_finite_norms(mat)
     b = as_vector(b, length=mat.m, name="b")
     bnorm = float(np.linalg.norm(b))
     x = np.zeros(mat.n)
@@ -316,8 +323,10 @@ def build_inconsistent_rhs(mat: RowColMatrix, x_seed_solution, noise_seed: int,
     The noise is a seeded Gaussian vector projected onto range(A)^perp (by
     subtracting its least-squares fit) and rescaled to
     ``noise_scale * ||A x_seed||``.  Raises :class:`TrivialNullSpace` when
-    the projection is numerically zero three redraws in a row.
+    the projection is numerically zero three redraws in a row, and
+    :class:`NonFiniteEntry` when the squared norm of A overflows.
     """
+    _check_finite_norms(mat)
     x_seed = as_vector(x_seed_solution, length=mat.n, name="x_seed_solution")
     base = mat.matvec(x_seed)
     base_norm = float(np.linalg.norm(base))

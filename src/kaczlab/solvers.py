@@ -13,15 +13,15 @@ Four engines share one :class:`SolverState` layout:
 * ``sampled``: evaluates the same criteria only on a small uniformly sampled
   index subset, a fresh one every iteration; branches as in ``agrak``.
 
-Every engine moves the iterate through three projection helpers: a
-stacked-row projection (z_i and x), a column projection (z) and an x refresh
-along one row (x).  Each takes the arrays it moves, the residual entry it
-zeroes and the residuals it keeps in step (grak's and agrak's, else None),
-and computes its own step length.  The public projections
-``augmented_row_update``, ``column_z_update`` and ``kaczmarz_row_project``
-are thin copy-returning wrappers over these same helpers.  ``agrak`` and
-``sampled`` share one stacked argmax and one branch routine; they differ in
-where their residual entries come from.
+A ``grak``, ``agrak`` or ``sampled`` step selects one stacked index, then
+``_apply`` projects it (agrak and sampled refresh x on column steps).  It and
+``rek`` move the iterate through three helpers: a stacked-row projection (z_i
+and x), a column projection (z) and an x refresh along one row (x).  Each
+takes the arrays it moves, the index, its right-hand-side entry and the
+residuals it keeps in step (grak's and agrak's, else None), from which it
+reads the residual entry it zeroes; without them it computes that entry at
+the iterate.  The public projections ``augmented_row_update``,
+``column_z_update`` and ``kaczmarz_row_project`` wrap the same helpers.
 
 ``grak`` and ``agrak`` need the full residuals b - z - A x and A^T z each
 step, kept by the projection helpers (one row or column of the Gram
@@ -56,6 +56,7 @@ from .diagnostics import BoundReport
 from .errors import ZeroResidual
 from .matrix import RowColMatrix, as_vector, check_vector
 from .sampling import (
+    STREAM_SOLVER,
     RngStream,
     _weighted_row_col_pairs,
     grak_residual_sample,
@@ -160,10 +161,10 @@ class GreedySelection:
     residual_col: np.ndarray
 
 
-def init_state(system, seed: int, stream_id: int = 0) -> SolverState:
+def init_state(system, seed: int) -> SolverState:
     """Fresh state: x0 = 0, which lies in range(A^T), and z0 = b."""
     return SolverState(x=np.zeros(system.mat.n), z=system.b.copy(), k=0,
-                       rng=RngStream(seed, stream_id))
+                       rng=RngStream(seed, STREAM_SOLVER))
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +239,10 @@ class _Residuals:
         return self.row_crit, self.col_crit
 
 
-def _apply_stacked_row(mat, i: int, r: float, x, z, res: _Residuals | None) -> float:
-    """Zero stacked residual r = b_i - z_i - A^(i) x: with d = r / (1 + ||A^(i)||^2),
+def _apply_stacked_row(mat, i: int, b_i: float, x, z, res: _Residuals | None) -> float:
+    """Zero r = b_i - z_i - A^(i) x (res.row[i] if given): with d = r / (1 + ||A^(i)||^2),
     z_i += d and x += d * A^(i), ``res`` in step.  Returns d."""
+    r = res.row[i] if res is not None else b_i - z[i] - mat.row_dot(i, x)
     d = r / mat.aug_row_norms_sq[i]
     z[i] += d
     mat.add_row_to(x, i, d)
@@ -253,9 +255,10 @@ def _apply_stacked_row(mat, i: int, r: float, x, z, res: _Residuals | None) -> f
     return d
 
 
-def _apply_column_projection(mat, j: int, s: float, z, res: _Residuals | None) -> float:
-    """Zero s = A_(j) . z: with c = s / ||A_(j)||^2, z -= c * A_(j), ``res`` in
-    step.  Returns c."""
+def _apply_column_projection(mat, j: int, z, res: _Residuals | None) -> float:
+    """Zero s = A_(j) . z (res.col[j] if given): with c = s / ||A_(j)||^2, z -= c * A_(j),
+    ``res`` in step.  Returns c."""
+    s = res.col[j] if res is not None else mat.col_dot(j, z)
     c = s / mat.col_norms_sq[j]
     mat.add_col_to(z, j, -c)
     if res is not None:
@@ -265,9 +268,10 @@ def _apply_column_projection(mat, j: int, s: float, z, res: _Residuals | None) -
     return c
 
 
-def _apply_x_refresh(mat, i: int, r: float, x, res: _Residuals | None) -> float:
-    """Zero row residual r: with d = r / ||A^(i)||^2, x += d * A^(i) only (z
-    untouched), ``res`` in step.  Returns d."""
+def _apply_x_refresh(mat, i: int, rhs_i: float, x, res: _Residuals | None) -> float:
+    """Zero r = rhs_i - A^(i) x (res.row[i], for rhs_i = b_i - z_i, if given): with
+    d = r / ||A^(i)||^2, x += d * A^(i) only, ``res`` in step.  Returns d."""
+    r = res.row[i] if res is not None else rhs_i - mat.row_dot(i, x)
     d = r / mat.row_norms_sq[i]
     mat.add_row_to(x, i, d)
     if res is not None:
@@ -281,7 +285,7 @@ def kaczmarz_row_project(x, i: int, rhs_i: float, mat: RowColMatrix) -> np.ndarr
     new vector: the engines' x refresh, run on a copy."""
     mat._check_row(i)
     x = as_vector(x, length=mat.n, name="x").copy()
-    _apply_x_refresh(mat, i, rhs_i - mat.row_dot(i, x), x, None)
+    _apply_x_refresh(mat, i, rhs_i, x, None)
     return x
 
 
@@ -292,7 +296,7 @@ def augmented_row_update(z, x, i: int, b, mat: RowColMatrix):
     z = as_vector(z, length=mat.m, name="z").copy()
     x = as_vector(x, length=mat.n, name="x").copy()
     b = as_vector(b, length=mat.m, name="b")
-    _apply_stacked_row(mat, i, b[i] - z[i] - mat.row_dot(i, x), x, z, None)
+    _apply_stacked_row(mat, i, b[i], x, z, None)
     return z, x
 
 
@@ -301,13 +305,8 @@ def column_z_update(z, j: int, mat: RowColMatrix) -> np.ndarray:
     (``A_(j) . z = 0`` up to rounding): the engines' column projection."""
     mat._check_col(j)
     z = as_vector(z, length=mat.m, name="z").copy()
-    _apply_column_projection(mat, j, mat.col_dot(j, z), z, None)
+    _apply_column_projection(mat, j, z, None)
     return z
-
-
-def _fresh_row_residual(state: SolverState, system, i: int) -> float:
-    """b_i - z_i - A^(i) x at the current iterate."""
-    return system.b[i] - state.z[i] - system.mat.row_dot(i, state.x)
 
 
 def _stacked_argmax(row_crit: np.ndarray, col_crit: np.ndarray):
@@ -327,26 +326,27 @@ def _stacked_argmax(row_crit: np.ndarray, col_crit: np.ndarray):
     return row_crit.shape[0] + j_best, max_col
 
 
-def _accelerated_branch(state: SolverState, system, t: int, value: float, res,
-                        row_residual, col_residual) -> StepOutcome:
-    """Project stacked index t as ``agrak`` and ``sampled`` do, keeping ``res``
-    (agrak's residuals, or None) in step.
+def _apply(state: SolverState, system, t: int, value: float, res: _Residuals | None,
+           refresh: bool) -> StepOutcome:
+    """Project the selected stacked index t, keeping ``res`` (grak's or agrak's
+    residuals, or None) in step; ``value`` is its selection criterion.
 
     A row index takes the stacked-row projection; a column index cleans z
-    and then refreshes x along one weighted-randomly drawn row.
-    ``row_residual(i)`` and ``col_residual(j)`` return b_i - z_i - A^(i) x
-    and A_(j) . z at the current iterate.
+    and, with ``refresh``, then refreshes x along one weighted-randomly
+    drawn row, which the outcome reports as its row.
     """
     mat = system.mat
     if t < mat.m:
-        _apply_stacked_row(mat, t, row_residual(t), state.x, state.z, res)
+        _apply_stacked_row(mat, t, system.b[t], state.x, state.z, res)
         out = StepOutcome("row", row=t, value=value)
     else:
         j = t - mat.m
-        _apply_column_projection(mat, j, col_residual(j), state.z, res)
-        i = weighted_row_sample(mat, state.rng)
-        # read after the column projection: b_i - z_i - A^(i) x of the new z
-        _apply_x_refresh(mat, i, row_residual(i), state.x, res)
+        _apply_column_projection(mat, j, state.z, res)
+        i = None
+        if refresh:
+            i = weighted_row_sample(mat, state.rng)
+            # the column projection moved z, so b_i - z_i is read after it
+            _apply_x_refresh(mat, i, system.b[i] - state.z[i], state.x, res)
         out = StepOutcome("col", row=i, col=j, value=value)
     state.k += 1
     return out
@@ -391,8 +391,8 @@ def rek_step(state: SolverState, system) -> StepOutcome:
     row draw projects x onto the updated equation A^(i) x = b_i - z_i."""
     mat = system.mat
     i, j = _RekDraws.of(state, mat).take()
-    _apply_column_projection(mat, j, mat.col_dot(j, state.z), state.z, None)
-    d = _apply_x_refresh(mat, i, _fresh_row_residual(state, system, i), state.x, None)
+    _apply_column_projection(mat, j, state.z, None)
+    d = _apply_x_refresh(mat, i, system.b[i] - state.z[i], state.x, None)
     state.k += 1
     return StepOutcome("col", row=i, col=j, value=abs(d))
 
@@ -441,24 +441,15 @@ def grak_build_selection(state: SolverState, system) -> GreedySelection:
 
 def grak_step(state: SolverState, system) -> StepOutcome:
     """One greedy randomized step over the stacked system."""
-    mat = system.mat
     try:
         sel = grak_build_selection(state, system)
         t = grak_residual_sample(sel, state.rng)
     except ZeroResidual:
         return StepOutcome("converged")
     res = _Residuals.of(state, system)  # the residuals the selection read
-    if t < mat.m:
-        r = sel.residual_row[t]
-        _apply_stacked_row(mat, t, r, state.x, state.z, res)
-        out = StepOutcome("row", row=t, value=float(r * r / mat.aug_row_norms_sq[t]))
-    else:
-        j = t - mat.m
-        s = sel.residual_col[j]
-        _apply_column_projection(mat, j, s, state.z, res)
-        out = StepOutcome("col", col=j, value=float(s * s / mat.col_norms_sq[j]))
-    state.k += 1
-    return out
+    m = system.mat.m
+    value = float(res.row_crit[t] if t < m else res.col_crit[t - m])  # filled by the selection
+    return _apply(state, system, t, value, res, refresh=False)
 
 
 def agrak_step(state: SolverState, system) -> StepOutcome:
@@ -471,9 +462,7 @@ def agrak_step(state: SolverState, system) -> StepOutcome:
     t, value = _stacked_argmax(*res.criteria())
     if t is None:
         return StepOutcome("converged")
-    # the projection helpers keep res.row and res.col in step with the iterate
-    return _accelerated_branch(state, system, t, value, res,
-                               res.row.__getitem__, res.col.__getitem__)
+    return _apply(state, system, t, value, res, refresh=True)
 
 
 class _SubsetBlock:
@@ -571,9 +560,7 @@ def sampled_step(state: SolverState, system, eta_s: float = 0.01) -> StepOutcome
         t, value = _stacked_argmax(*_Residuals(system, state.x, state.z).criteria())
         if t is None:
             return StepOutcome("converged")
-    return _accelerated_branch(state, system, t, value, None,
-                               partial(_fresh_row_residual, state, system),
-                               partial(mat.col_dot, z=state.z))
+    return _apply(state, system, t, value, None, refresh=True)
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +619,8 @@ def _zres(state: SolverState, system) -> float:
 
 
 def run(engine: str, system, rule: StoppingRule | None = None,
-        max_iters: int = 1_000_000, seed: int = 0, *, stream_id: int = 0,
-        eta_s: float = 0.01, metrics_every: int = 0, trace_path=None) -> RunReport:
+        max_iters: int = 1_000_000, seed: int = 0, *, eta_s: float = 0.01,
+        metrics_every: int = 0, trace_path=None) -> RunReport:
     """Drive one engine until the stopping rule fires or max_iters (>= 0)
     is hit.
 
@@ -650,7 +637,7 @@ def run(engine: str, system, rule: StoppingRule | None = None,
     # looked up per call, so a step function rebound on the module is honoured
     stepper = {"rek": rek_step, "grak": grak_step, "agrak": agrak_step,
                "sampled": partial(sampled_step, eta_s=eta_s)}[engine]
-    state = init_state(system, seed, stream_id)
+    state = init_state(system, seed)
     monitor = make_monitor(rule, system, engine) if rule is not None else None
     if monitor is not None:
         monitor.start(state, system)
@@ -689,7 +676,7 @@ def run(engine: str, system, rule: StoppingRule | None = None,
         engine=engine,
         provenance=system.provenance,
         seed=seed,
-        stream_id=stream_id,
+        stream_id=STREAM_SOLVER,
         eta_s=eta_s if engine == "sampled" else None,
         stop_kind=rule.kind if rule is not None else None,
         stop_tol=rule.tol if rule is not None else None,

@@ -181,14 +181,16 @@ def test_underflowing_line_norm_exits_3(capsys, tmp_path):
     assert out == "" and "squared norm underflows to 0" in err
 
 
-def test_overflowing_line_norm_exits_3(capsys, tmp_path):
+@pytest.mark.parametrize("rhs", ["randn", "nullspace"])
+def test_overflowing_line_norm_exits_3(capsys, tmp_path, rhs):
     # printed overflow and invalid-value RuntimeWarnings from the engines and
-    # exited 5 (no convergence)
+    # exited 5 (no convergence); the nullspace right-hand side, built before
+    # the system, then printed numpy's overflow warning above the error line
     path = tmp_path / "huge.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n3 2 4\n"
                     "1 1 1e300\n1 2 1\n2 2 3\n3 1 1\n")
     code, out, err = _run(capsys, "solve", "--matrix", str(path), "--engine", "grak",
-                          "--rhs", "randn", "--no-reference", "--max-iters", "50")
+                          "--rhs", rhs, "--no-reference", "--max-iters", "50")
     assert code == 3
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert "engines divide by" in err

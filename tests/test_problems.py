@@ -270,6 +270,15 @@ def test_linear_system_rejects_overflowing_norms():
         LinearSystem(mat, np.ones(3))
 
 
+def test_oracle_and_rhs_reject_overflowing_norms():
+    # both ran numpy arithmetic on the inf norms first and warned of overflow
+    mat = build_matrix([[1e300, 1.0], [2.0, 3.0], [1.0, 1.0]])
+    with pytest.raises(NonFiniteEntry, match="engines divide by"):
+        reference_solution(mat, np.ones(3))
+    with pytest.raises(NonFiniteEntry, match="engines divide by"):
+        build_inconsistent_rhs(mat, np.ones(2), noise_seed=1)
+
+
 # ---------------------------------------------------------------------------
 # Scoring and images
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from kaczlab.solvers import (
     rek_step,
     run,
     sampled_step,
+    weighted_row_sample,
 )
 from kaczlab.stopping import StoppingRule
 
@@ -915,6 +916,53 @@ def test_step_invariants_over_mixed_sequences(storage, seed, moves):
                                        rtol=1e-9, atol=atol * atol * mat.frob_sq)
 
 
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+@pytest.mark.parametrize("engine", list(_ENGINE_STEPS))
+def test_step_outcome_fields(engine, storage):
+    # what run(trace_path=...) writes: a greedy engine's value is the picked
+    # index's criterion at the pre-step iterate, and a column step's row is the
+    # row that refreshed x (agrak, sampled) or None (grak, which leaves x alone);
+    # rek's value is its x step over the row norm
+    if storage == "dense":
+        system = make_gaussian_system(60, 20, seed=43, with_reference=False)
+    else:
+        mat, _ = random_sparse_matrix(np.random.default_rng(43), 60, 20)
+        system = kl.LinearSystem(mat, np.random.default_rng(44).standard_normal(60))
+    mat, b = system.mat, system.b
+    A = mat.to_dense()
+    st = init_state(system, seed=7)
+    kinds = set()
+    for _ in range(300):
+        x, z = st.x.copy(), st.z.copy()
+        refresh_row = weighted_row_sample(mat, copy.deepcopy(st.rng))
+        out = _ENGINE_STEPS[engine](st, system)
+        kinds.add(out.kind)
+        dx = st.x - x
+        if engine == "rek":
+            assert out.kind == "col"
+            np.testing.assert_allclose(
+                out.value, np.linalg.norm(dx) / np.sqrt(mat.row_norms_sq[out.row]), rtol=1e-10)
+            continue
+        if out.kind == "row":
+            assert out.col is None
+            expected = (b - z - A @ x)[out.row] ** 2 / mat.aug_row_norms_sq[out.row]
+        else:
+            expected = (A.T @ z)[out.col] ** 2 / mat.col_norms_sq[out.col]
+            if engine == "grak":
+                assert out.row is None and st.x.tobytes() == x.tobytes()
+            else:
+                # x moved along A^(i) alone (up to the rounding of x's entries)
+                # and zeroed equation i at the new z
+                i = out.row
+                assert engine == "sampled" or i == refresh_row  # agrak draws nothing else
+                np.testing.assert_allclose(dx, (dx @ A[i]) / (A[i] @ A[i]) * A[i],
+                                           rtol=0, atol=1e-14 * np.linalg.norm(st.x))
+                scale = abs(b[i]) + abs(st.z[i]) + np.linalg.norm(A[i]) * np.linalg.norm(st.x)
+                assert abs(b[i] - st.z[i] - A[i] @ st.x) <= 1e-12 * scale
+        np.testing.assert_allclose(out.value, expected, rtol=1e-12)
+    assert kinds == ({"col"} if engine == "rek" else {"row", "col"})
+
+
 @pytest.mark.parametrize("step", [grak_step, agrak_step])
 def test_residual_cache_refreshes_after_refresh_updates(step):
     # one update per projection, so agrak's column step (column projection
@@ -987,7 +1035,7 @@ def test_touched_criteria_match_full_recompute(storage, monkeypatch):
     assert rebuilt >= 2  # RESIDUAL_REFRESH rebuilds
     # a column past the fallback fraction
     j = mat.n - 1
-    _apply_column_projection(mat, j, mat.col_dot(j, st.z), st.z, st.cache)
+    _apply_column_projection(mat, j, st.z, st.cache)
     assert st.cache.touched is None
     check(st, "long column")
     # rek on another matrix drops the residuals; the next greedy step rebuilds
