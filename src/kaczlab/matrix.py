@@ -16,12 +16,13 @@ outright; the solvers divide by those norms.
 
 A sparse store's batched kernels are scipy's compiled CSR loops from the
 private module ``scipy.sparse._sparsetools``, which scipy builds and ships,
-so they need no build step here: ``csr_row_index`` gathers a batch of lines
-into contiguous segments, ``csr_matvec`` dots each segment with a vector,
-and ``csc_matvec`` adds a weighted sum of segments into a Gram row in place.
-Only this module calls them.  They check no bounds: an id past either end
-of a line table, or a vector or output shorter than the indices that reach
-into it, reads or writes outside the arrays.  So before a call every
+so they need no build step here: ``csr_matvec`` dots a batch of lines with a
+vector where they lie in the store's own arrays, ``csr_row_index`` gathers
+the lines a sparse Gram row is accumulated from into contiguous segments,
+and ``csc_matvec`` adds their weighted sum into the Gram row in place.  Only
+this module calls them.  They check no bounds: an id past either end of a
+line table, or a vector or output shorter than the indices that reach into
+it, reads or writes outside the arrays.  So before a call every
 caller-supplied id is checked against [0, count) (``IndexOutOfRange``), and
 every vector and output against its length and float64 dtype
 (``ValueError``).
@@ -29,10 +30,12 @@ every vector and output against its length and float64 dtype
 A sparse store keeps ``np.intp`` copies of the CSR index arrays (numpy
 casts an int32 index array to intp on every fancy index, and the compiled
 loops take one integer type throughout); the scipy operator ``op`` keeps
-scipy's own int32 arrays for whole products.  The line stores and scipy's
-arrays take 11.5 MB on the 60000 x 209 benchmark system and 72 MB on the
-N=60 tomography matrix (22375 x 3600); one set-up of those workloads peaks
-at 73 MiB and 220 MiB of RSS.
+scipy's own int32 arrays for whole products.  It also keeps each line's
+(start, end) offsets as one 16-byte record, so a batch's pointer pairs are
+one gather.  The line stores and scipy's arrays take 12.5 MB on the
+60000 x 209 benchmark system and 72 MB on the N=60 tomography matrix
+(22375 x 3600), the records 1.0 MB and 0.4 MB of that; one set-up of those
+workloads peaks at 75 MiB and 221 MiB of RSS.
 
 The Gram updates ``gram_row_update`` (out += c A A^(i)) and
 ``gram_col_update`` (out += c A^T A_(j)) memoize one Gram row per index, so
@@ -52,6 +55,8 @@ Scalars are real float64 throughout.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
@@ -68,6 +73,11 @@ __all__ = [
 # largest p * p table of Gram rows one side of a matrix memoizes (8 bytes an
 # entry, so 128 MiB); a side whose table would be larger is never memoized
 GRAM_MEMO_ENTRIES = 1 << 24
+
+
+def _memo_fits(p: int) -> bool:
+    """Whether a side of p lines memoizes its Gram rows (a p x p table)."""
+    return p * p <= GRAM_MEMO_ENTRIES
 
 
 def as_vector(values, length: int | None = None, name: str = "vector") -> np.ndarray:
@@ -103,16 +113,6 @@ def check_vector(v: np.ndarray, length: int, name: str):
                          f"{np.shape(v)}")
 
 
-def _csr_dots(ptr: np.ndarray, idx: np.ndarray, vals: np.ndarray, v: np.ndarray,
-              width: int) -> np.ndarray:
-    """Dot of ``v`` with each CSR line ``ptr`` delimits; ``ptr`` holds absolute
-    offsets into ``idx``/``vals``, whose indices lie in [0, width)."""
-    check_vector(v, width, "vector")
-    out = np.zeros(len(ptr) - 1)
-    _sparsetools.csr_matvec(len(out), width, ptr, idx, vals, v, out)
-    return out
-
-
 class _Lines:
     """The rows of one operand of the stacked system: A or A^T.
 
@@ -136,6 +136,10 @@ class _Lines:
             self.indices = lines.indices.astype(np.intp)
             self.data = lines.data
             self.lengths = np.diff(self.indptr)
+            # line k's (start, end) offsets as one record (see the module
+            # docstring)
+            self.bounds = np.stack((self.indptr[:-1], self.indptr[1:]), axis=1).view(
+                np.dtype((np.void, 2 * self.indptr.itemsize))).ravel()
             # a square past float64's range is inf, as a dense store's einsum
             # gives it, without a warning
             with np.errstate(over="ignore"):
@@ -158,22 +162,20 @@ class _Lines:
         s, e = self.indptr[k], self.indptr[k + 1]
         return float(self.data[s:e] @ v[self.indices[s:e]])
 
-    def segments(self, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Values and indices of lines ``ids``, concatenated, and the offsets
-        of each line's segment (line r at ``offsets[r]:offsets[r + 1]``).
-
-        Every id is checked first: ``csr_row_index`` reads line ``ids[r]``
-        through ``indptr`` unchecked, and an id past either end reads
-        outside it.
-        """
-        ids = np.asarray(ids).astype(np.intp, casting="safe", copy=False)
+    def checked(self, ids) -> np.ndarray:
+        """An intp copy of ``ids``, every id checked against [0, count) first:
+        the compiled loops read line ``ids[r]`` through ``indptr`` unchecked,
+        and an id past either end reads outside it."""
+        ids = np.asarray(ids).astype(np.intp, casting="safe")
         if ids.size and (ids.min() < 0 or ids.max() >= self.count):
             bad = ids[(ids < 0) | (ids >= self.count)][0]
             raise IndexOutOfRange(f"{self.kind} index {bad} outside [0, {self.count})")
-        return self._gather(ids)
+        return ids
 
     def _gather(self, ids: np.ndarray):
-        """``segments`` of intp ``ids`` already known to lie in [0, count)."""
+        """Values and indices of intp lines ``ids``, already known to lie in
+        [0, count), concatenated, and the offsets of each line's segment
+        (line r at ``offsets[r]:offsets[r + 1]``)."""
         offsets = np.zeros(len(ids) + 1, dtype=np.intp)
         np.add.accumulate(self.lengths[ids], out=offsets[1:])
         idx = np.empty(offsets[-1], dtype=np.intp)
@@ -182,11 +184,35 @@ class _Lines:
                                    idx, vals)
         return vals, idx, offsets
 
+    def pair_dots(self, ptr: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Dot of ``v`` with each sparse line whose (start, end) offsets ``ptr``
+        lists, flat, in non-increasing line order; read where the lines lie in
+        the store's arrays.
+
+        ``csr_matvec`` runs over ``ptr`` as a CSR pointer array, so the
+        "line" between two pairs runs from one line's end back to a start at
+        or before it: it is empty, costs nothing, and its output slot is
+        dropped.  Each dot sums the same products in the same order as a dot
+        of the gathered line, so the results are the same bits as
+        ``csr[ids] @ v``.  The offsets come from ``bounds`` of checked ids.
+        """
+        check_vector(v, self.width, "vector")
+        out = np.zeros(max(len(ptr) - 1, 0))
+        _sparsetools.csr_matvec(len(out), self.width, ptr, self.indices, self.data, v, out)
+        return out[::2]
+
+    def line_dots(self, ids: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``pair_dots`` of sparse lines ``ids`` (intp, already checked) in
+        any order."""
+        order = np.argsort(ids, kind="stable")[::-1]
+        dots = np.empty(len(ids))
+        dots[order] = self.pair_dots(self.bounds[ids[order]].view(np.intp), v)
+        return dots
+
     def dots(self, ids, v: np.ndarray) -> np.ndarray:
         if self.block is not None:
             return self.block[ids] @ v
-        vals, idx, offsets = self.segments(ids)
-        return _csr_dots(offsets, idx, vals, v, self.width)
+        return self.line_dots(self.checked(ids), v)
 
     def add_to(self, out: np.ndarray, k: int, c: float):
         """out += c * line k; returns the indices of ``out`` it wrote, or None
@@ -218,7 +244,7 @@ class _Lines:
         memo = self.memo
         if memo is None:
             p = self.count
-            if p * p > GRAM_MEMO_ENTRIES:
+            if not _memo_fits(p):
                 return self.gram_kernel(other, out, k, c)
             # zeroed pages are mapped on first write: rows never filled cost
             # no memory
@@ -382,16 +408,32 @@ class RowColMatrix:
         """A scorer of a batch of rows: ``score(r0, r1, x)`` returns A^(i) . x
         for the rows at positions r0:r1 of ``rows``.
 
-        On sparse storage the rows' CSR segments are gathered once, here,
-        after every id is checked, and each call dots a run of them with x in
-        one compiled loop; the gathered arrays stay inside the scorer, so no
-        caller can hand the loop indices of its own.  On dense storage each
-        call is ``rows_dot`` on the slice, looked up when called.
+        On sparse storage every id is checked once, here, and the scorer
+        keeps its own copy of them and of their pointer pairs, so no caller
+        can hand the compiled loop an offset of its own; each call dots the
+        run of rows in place with x in one compiled loop (``pair_dots``),
+        after checking x.  The pairs are kept last row first, so a run of
+        ascending ids, such as a sorted subset, is a slice of them; any other
+        run is sorted on the call.  On dense storage each call is
+        ``rows_dot`` on the slice, looked up when called.
         """
         if not self.is_sparse:
             return lambda r0, r1, x: self.rows_dot(rows[r0:r1], x)
-        values, cols, offsets = self._row_lines.segments(rows)
-        return lambda r0, r1, x: _csr_dots(offsets[r0:r1 + 1], cols, values, x, self.n)
+        lines = self._row_lines
+        rows = lines.checked(rows)
+        count = len(rows)
+        reversed_pairs = lines.bounds[rows[::-1]].view(np.intp)
+        # positions where a row id is below the one before it
+        breaks = (np.flatnonzero(rows[1:] < rows[:-1]) + 1).tolist()
+
+        def score(r0, r1, x):
+            r0, r1, _ = slice(r0, r1).indices(count)
+            k = bisect.bisect_right(breaks, r0)
+            if k < len(breaks) and breaks[k] < r1:
+                return lines.line_dots(rows[r0:r1], x)
+            return lines.pair_dots(reversed_pairs[2 * (count - r1):2 * (count - r0)], x)[::-1]
+
+        return score
 
     def rows_dot(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         """A^(i) . x for a batch of rows (one vector op, no Python loop)."""

@@ -29,19 +29,24 @@ products, which the matrix memoizes per index where its side fits
 ``GRAM_MEMO_ENTRIES``) and rebuilt after ``RESIDUAL_REFRESH`` updates to cap
 drift.  They also hold their normalized squared criteria; on sparse storage
 the row criteria are recomputed only on the entries the previous step
-wrote.  ``sampled`` and ``rek`` never form full residuals, so they never
-fill the memo; that is their point.  They draw ``_DRAW_BLOCK`` steps ahead
-instead (rek its row and column pairs, sampled its subsets), so after such
-steps a stream shared with other engines sits further along than one draw
-per step would leave it.
+wrote.  ``sampled`` and ``rek`` never form the m-length residual b - z - A x,
+and rek never fills the memo.  On sparse storage whose column side fits the
+memo, sampled keeps the n-length A^T z the same way (``_ColResidual``) and
+scores its columns from it; elsewhere it dots them, since a dense Gram
+column reads all of A and an unmemoized sparse one re-accumulates its
+lines on every step.  rek and sampled draw ``_DRAW_BLOCK`` steps ahead (rek
+its row and column pairs, sampled its subsets), so after such steps a
+stream shared with other engines sits further along than one draw per step
+would leave it.
 
 One cache rule: a state carries one engine cache, that of the engine that
 last stepped it, keyed on immutable inputs: the residuals on the system and
 the iterate arrays, rek's draws on the matrix, sampled's subsets on the
-matrix and the subset size.  A step rebuilds the cache when it is another
-engine's, is spent, or is keyed on other inputs than the step's.  Systems
-and matrices are immutable, and a copy of a state shares them, so a
-deep-copied state replays its original bit for bit.
+matrix and the subset size, and the A^T z its blocks carry on the matrix
+and z.  A step rebuilds the cache when it is another engine's, is spent,
+or is keyed on other inputs than the step's.  Systems and matrices are
+immutable, and a copy of a state shares them, so a deep-copied state
+replays its original bit for bit.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ import numpy as np
 
 from .diagnostics import BoundReport
 from .errors import ZeroResidual
-from .matrix import RowColMatrix, as_vector, check_vector
+from .matrix import RowColMatrix, _memo_fits, as_vector, check_vector
 from .sampling import (
     STREAM_SOLVER,
     RngStream,
@@ -239,6 +244,27 @@ class _Residuals:
         return self.row_crit, self.col_crit
 
 
+class _ColResidual:
+    """A^T z of one matrix at one z array: sampled's column scores.
+
+    ``_apply`` keeps it in step with z, one ``updates`` per projection that
+    moves z; ``of`` rebuilds it after ``RESIDUAL_REFRESH`` of them, to cap
+    drift, or when its matrix or z is not the step's.
+    """
+
+    def __init__(self, mat: RowColMatrix, z: np.ndarray):
+        self.mat, self.z = mat, z
+        self.col = mat.rmatvec(z)
+        self.updates = 0
+
+    @classmethod
+    def of(cls, kept: _ColResidual | None, mat, z: np.ndarray) -> _ColResidual:
+        if (kept is None or kept.updates >= RESIDUAL_REFRESH or kept.mat is not mat
+                or kept.z is not z):
+            kept = cls(mat, z)
+        return kept
+
+
 def _apply_stacked_row(mat, i: int, b_i: float, x, z, res: _Residuals | None) -> float:
     """Zero r = b_i - z_i - A^(i) x (res.row[i] if given): with d = r / (1 + ||A^(i)||^2),
     z_i += d and x += d * A^(i), ``res`` in step.  Returns d."""
@@ -327,9 +353,10 @@ def _stacked_argmax(row_crit: np.ndarray, col_crit: np.ndarray):
 
 
 def _apply(state: SolverState, system, t: int, value: float, res: _Residuals | None,
-           refresh: bool) -> StepOutcome:
+           refresh: bool, kept: _ColResidual | None = None) -> StepOutcome:
     """Project the selected stacked index t, keeping ``res`` (grak's or agrak's
-    residuals, or None) in step; ``value`` is its selection criterion.
+    residuals, or None) and ``kept`` (sampled's A^T z, or None) in step;
+    ``value`` is its selection criterion.
 
     A row index takes the stacked-row projection; a column index cleans z
     and, with ``refresh``, then refreshes x along one weighted-randomly
@@ -337,11 +364,17 @@ def _apply(state: SolverState, system, t: int, value: float, res: _Residuals | N
     """
     mat = system.mat
     if t < mat.m:
-        _apply_stacked_row(mat, t, system.b[t], state.x, state.z, res)
+        d = _apply_stacked_row(mat, t, system.b[t], state.x, state.z, res)
+        if kept is not None:
+            mat.add_row_to(kept.col, t, d)
+            kept.updates += 1
         out = StepOutcome("row", row=t, value=value)
     else:
         j = t - mat.m
-        _apply_column_projection(mat, j, state.z, res)
+        c = _apply_column_projection(mat, j, state.z, res)
+        if kept is not None:
+            mat.gram_col_update(kept.col, j, -c)
+            kept.updates += 1
         i = None
         if refresh:
             i = weighted_row_sample(mat, state.rng)
@@ -466,15 +499,18 @@ def agrak_step(state: SolverState, system) -> StepOutcome:
 
 
 class _SubsetBlock:
-    """The next ``_DRAW_BLOCK`` subsets of a sampled run, gathered once.
+    """The next ``_DRAW_BLOCK`` subsets of a sampled run, and what scoring them
+    needs.
 
     Drawn in one call from the state's stream; each subset is what
     ``simple_random_subset`` would have returned at that point of the
     stream.  Per subset, the block gathers the inverse stacked norms of its
-    rows and the squared norms of its columns, and the matrix's scorer of
-    its rows (``row_scorer``), which on sparse storage gathers their CSR
-    segments once: ``take`` then scores a subset's rows with one call.  A
-    block belongs to one matrix and one subset size; ``take`` scores the
+    rows and the squared norms of its columns, and holds the matrix's
+    scorer of its rows (``row_scorer``, whose ids are checked once), so
+    ``take`` scores a subset's rows with one call.  Columns are scored from
+    ``kept``, the A^T z that ``of`` carries from block to block on sparse
+    storage whose column side fits the Gram memo, or else by ``cols_dot``.
+    A block belongs to one matrix and one subset size; ``take`` scores the
     next unused subset against the step's right-hand side.
     """
 
@@ -491,15 +527,21 @@ class _SubsetBlock:
         self.col_norms = mat.col_norms_sq[self.cols]
         self.score_rows = mat.row_scorer(self.rows)
         self.used = 0
+        self.kept = None
 
     @classmethod
     def of(cls, state: SolverState, mat, k: int) -> _SubsetBlock:
         """The state's block for a step on ``mat`` with size-k subsets, drawn
-        anew when spent or when its matrix or subset size is not the step's."""
+        anew when spent or when its matrix or subset size is not the step's,
+        with its A^T z kept for the state's z where the matrix is sparse and
+        its column side fits the Gram memo."""
         block = state.cache
+        kept = block.kept if type(block) is cls else None
         if (type(block) is not cls or block.used >= _DRAW_BLOCK or block.mat is not mat
                 or block.k != k):
             block = state.cache = cls(mat, k, state.rng)
+        if mat.is_sparse and _memo_fits(mat.n):
+            block.kept = _ColResidual.of(kept, mat, state.z)
         return block
 
     def take(self, b: np.ndarray, x: np.ndarray, z: np.ndarray):
@@ -530,7 +572,7 @@ class _SubsetBlock:
         c0, c1 = self.col_bounds[j], self.col_bounds[j + 1]
         if c1 > c0:
             cols = self.cols[c0:c1]
-            crit = self.mat.cols_dot(cols, z)
+            crit = self.kept.col[cols] if self.kept is not None else self.mat.cols_dot(cols, z)
             crit *= crit
             crit /= self.col_norms[c0:c1]
             i = int(np.argmax(crit))
@@ -545,22 +587,24 @@ def sampled_step(state: SolverState, system, eta_s: float = 0.01) -> StepOutcome
 
     A fresh uniform subset of stacked indices is taken, the greedy criterion
     is evaluated only there, and the winning index is projected exactly as in
-    the accelerated engine.  No full residual is ever formed.  If the
-    sampled criteria all vanish the next subset is tried; if they still
-    vanish the full residual decides between convergence and a full-sweep
-    fallback.
+    the accelerated engine.  The m-length residual b - z - A x is formed
+    only if the sampled criteria all vanish twice: the next subset is tried
+    first, and if it vanishes too the full residuals decide between
+    convergence and a full-sweep fallback.
     """
     mat = system.mat
     k = subset_size(mat.m, mat.n, eta_s)
-    t, value = _SubsetBlock.of(state, mat, k).take(system.b, state.x, state.z)
+    block = _SubsetBlock.of(state, mat, k)
+    t, value = block.take(system.b, state.x, state.z)
     if t is None:
-        t, value = _SubsetBlock.of(state, mat, k).take(system.b, state.x, state.z)
+        block = _SubsetBlock.of(state, mat, k)
+        t, value = block.take(system.b, state.x, state.z)
     if t is None:
         # full sweep on fresh residuals, not stored: the greedy cache is never started
         t, value = _stacked_argmax(*_Residuals(system, state.x, state.z).criteria())
         if t is None:
             return StepOutcome("converged")
-    return _apply(state, system, t, value, None, refresh=True)
+    return _apply(state, system, t, value, None, refresh=True, kept=block.kept)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -257,12 +258,22 @@ def test_gram_update_rejects_out_of_range_index(storage, memo_entries, monkeypat
 
 
 def test_gram_memo_untouched_by_rek_and_sampled():
-    system = make_gaussian_system(60, 12, seed=23)
-    for engine in ("rek", "sampled"):
-        kl.run(engine, system, max_iters=500, seed=1)
-    assert _memos(system.mat) == [None, None]
-    kl.run("agrak", system, max_iters=500, seed=1)
-    assert all(memo is not None for memo in _memos(system.mat))
+    # rek never fills a memo; sampled never allocates the row side, and fills
+    # column-side rows only on sparse storage, where it keeps A^T z from them
+    dense = make_gaussian_system(60, 12, seed=23)
+    sparse = _sparse_system(23)
+    for system in (dense, sparse):
+        kl.run("rek", system, max_iters=500, seed=1)
+        assert _memos(system.mat) == [None, None]
+        kl.run("sampled", system, max_iters=500, seed=1)
+        row_memo, col_memo = _memos(system.mat)
+        assert row_memo is None
+        if system.mat.is_sparse:
+            assert col_memo[1].any()
+        else:
+            assert col_memo is None
+    kl.run("agrak", dense, max_iters=500, seed=1)
+    assert all(memo is not None for memo in _memos(dense.mat))
 
 
 def _sparse_system(seed):
@@ -346,15 +357,59 @@ def _storage_matrix(storage):
     return build_matrix((rows, cols, rng.standard_normal(rows.size)), shape=(30, 12))
 
 
+def test_sparse_batched_dots_match_gathered_dots(monkeypatch):
+    # the batched dots read each line where it lies in the store, whatever the
+    # order of the ids: bit for bit what scipy's gathered rows give, and every
+    # stretch between two lines' pointer pairs is empty, so it reads nothing
+    mat = _storage_matrix("segmented")
+    rng = np.random.default_rng(11)
+    sides = ((mat.m, rng.standard_normal(mat.n), mat._csr, mat.rows_dot, mat.row_scorer),
+             (mat.n, rng.standard_normal(mat.m), mat._csr.T.tocsr(), mat.cols_dot, None))
+    pointers = []
+
+    def csr_matvec(n_row, n_col, ptr, *arrays):
+        pointers.append(ptr.copy())
+        sp._sparsetools.csr_matvec(n_row, n_col, ptr, *arrays)
+
+    monkeypatch.setattr(kl.matrix, "_sparsetools", types.SimpleNamespace(csr_matvec=csr_matvec))
+    for count, vector, csr_lines, dots, scorer in sides:
+        ascending = np.sort(rng.choice(count, size=40, replace=False))
+        ascending[[0, -1]] = 0, count - 1  # the full line and the last one
+        for ids in (ascending, ascending[::-1], rng.permutation(ascending),
+                    np.array([count - 1, 0, 0, 5, count - 1, 5, 5]), ascending[:1],
+                    ascending[:0]):
+            expected = csr_lines[ids] @ vector
+            assert np.array_equal(dots(ids, vector), expected)
+            if scorer is not None:
+                score = scorer(ids)
+                assert np.array_equal(score(0, len(ids), vector), expected)
+                assert np.array_equal(score(1, len(ids) - 1, vector), expected[1:-1])
+            assert pointers and all(np.all(ptr[2::2] <= ptr[1:-1:2]) for ptr in pointers)
+            pointers.clear()
+        if scorer is not None:
+            # a block of sorted subsets: each subset's run of ascending ids
+            # is scored, and so are runs across a subset boundary
+            runs = np.concatenate([ascending[10:], ascending[:25], ascending[5:8]])
+            expected = csr_lines[runs] @ vector
+            score = scorer(runs)
+            for r0, r1 in ((0, 30), (30, 55), (55, 58), (25, 40), (0, 58), (3, 3)):
+                assert np.array_equal(score(r0, r1, vector), expected[r0:r1])
+            assert all(np.all(ptr[2::2] <= ptr[1:-1:2]) for ptr in pointers)
+
+
 @pytest.mark.parametrize("storage", ["padded", "segmented"])
 def test_sparse_index_arrays_are_intp(storage):
-    # numpy casts an int32 index array on every fancy index, so every index
-    # array a sparse store gathers or scatters through is intp; the row
-    # store's segments are what ``row_scorer`` gathers
+    # numpy casts an int32 index array on every fancy index, and the compiled
+    # loops take one integer type throughout, so every index array a sparse
+    # store gathers, scatters or hands them is intp: its CSR arrays, checked
+    # ids, the pointer pairs its batched dots read, and the segments its Gram
+    # kernel gathers
     mat = _storage_matrix(storage)
-    ids = np.arange(3)
+    ids = np.arange(3, dtype=np.int32)
     for lines in (mat._row_lines, mat._col_lines):
-        arrays = [lines.indptr, lines.indices, lines.lengths, *lines.segments(ids)[1:]]
+        checked = lines.checked(ids)
+        arrays = [lines.indptr, lines.indices, lines.lengths, checked,
+                  lines.bounds[checked].view(np.intp), *lines._gather(checked)[1:]]
         assert [a.dtype for a in arrays] == [np.dtype(np.intp)] * len(arrays)
 
 

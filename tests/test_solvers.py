@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies
+from hypothesis import example, given, strategies
 
 import kaczlab as kl
 from kaczlab import RngStream, build_matrix
@@ -547,30 +547,26 @@ def test_sampled_matches_naive(rng):
             np.testing.assert_allclose(st.z, z_ref, rtol=1e-8, atol=1e-10, err_msg=name)
 
 
-def _record_scored(mat):
-    """Wrap the matrix's batched dots; returns the list they append to."""
-    scored = []
-    rows_dot, cols_dot = mat.rows_dot, mat.cols_dot
-    mat.rows_dot = lambda rows, x: scored.extend(rows.tolist()) or rows_dot(rows, x)
-    mat.cols_dot = lambda cols, z: scored.extend((cols + mat.m).tolist()) or cols_dot(cols, z)
-    return scored
+def _last_scored(st):
+    """The stacked subset the state's sampled block scored last, and its matrix."""
+    block = st.cache
+    return _block_subsets(block)[block.used - 1], block.mat
 
 
 def test_sampled_block_follows_system_and_subset_size():
     sys_a = make_gaussian_system(60, 20, seed=41, with_reference=False)
     sys_b = make_gaussian_system(30, 8, seed=42, with_reference=False)
-    scored_a, scored_b = _record_scored(sys_a.mat), _record_scored(sys_b.mat)
     st = init_state(sys_a, seed=5)
     st.x = np.full(20, 0.1)  # at x = 0 every row criterion is zero
     for eta_s, size in ((0.05, 4), (0.2, 16), (0.05, 4)):
-        scored_a.clear()
         sampled_step(st, sys_a, eta_s=eta_s)
-        assert len(set(scored_a)) == size
+        scored, mat = _last_scored(st)
+        assert mat is sys_a.mat and len(set(scored)) == size
     st.x, st.z = np.full(8, 0.1), sys_b.b.copy()
-    scored_a.clear()
     sampled_step(st, sys_b, eta_s=0.2)  # floor(38 * 0.2) = 7
-    assert scored_a == [] and len(set(scored_b)) == 7
-    assert max(scored_b) < 38
+    scored, mat = _last_scored(st)
+    assert mat is sys_b.mat and len(set(scored)) == 7
+    assert max(scored) < 38
 
 
 def _block_subsets(block):
@@ -873,8 +869,11 @@ def _mixed_step_systems(storage):
 @given(storage=strategies.sampled_from(["dense", "sparse"]),
        seed=strategies.integers(0, 2**16),
        moves=strategies.lists(strategies.tuples(
-           strategies.sampled_from([*_ENGINE_STEPS, "assign x", "write and invalidate"]),
+           strategies.sampled_from([*_ENGINE_STEPS, "assign x", "assign z",
+                                    "write and invalidate"]),
            strategies.integers(0, 2)), min_size=1, max_size=30))
+# sampled's A^T z is keyed on the z array and carried to another system on its matrix
+@example(storage="sparse", seed=0, moves=[("sampled", 0), ("assign z", 0), ("sampled", 1)])
 def test_step_invariants_over_mixed_sequences(storage, seed, moves):
     # whichever engines, systems and caller writes came before, a row step
     # zeroes its equation, a column step zeroes A_(j)^T z, the state holds the
@@ -886,6 +885,9 @@ def test_step_invariants_over_mixed_sequences(storage, seed, moves):
         mat, b = system.mat, system.b
         if move == "assign x":
             st.x = st.x + mat.rmatvec(b) / mat.frob_sq
+            continue
+        if move == "assign z":
+            st.z = st.z + 0.5 * b
             continue
         if move == "write and invalidate":
             st.x *= 0.5
@@ -902,11 +904,20 @@ def test_step_invariants_over_mixed_sequences(storage, seed, moves):
             i = out.row
             scale = 1.0 + abs(b[i]) + abs(st.z[i]) + np.sqrt(mat.row_norms_sq[i]) * x_norm
             assert abs(b[i] - st.z[i] - mat.row_dot(i, st.x)) <= 1e-12 * scale
+        row, col = b - st.z - mat.matvec(st.x), mat.rmatvec(st.z)
+        atol = 1e-12 * (1.0 + np.linalg.norm(b) + z_norm + np.sqrt(mat.frob_sq) * x_norm)
+        if isinstance(st.cache, _SubsetBlock):
+            # sampled keeps A^T z only on sparse storage, whose column side
+            # fits the Gram memo here
+            kept = st.cache.kept
+            assert (kept is not None) == mat.is_sparse
+            if kept is not None:
+                assert kept.mat is mat and kept.z is st.z
+                np.testing.assert_allclose(kept.col, col, rtol=0,
+                                           atol=atol * np.sqrt(mat.frob_sq))
         if isinstance(st.cache, _Residuals):
             res = st.cache
             assert res.system is system and res.x is st.x and res.z is st.z
-            row, col = b - st.z - mat.matvec(st.x), mat.rmatvec(st.z)
-            atol = 1e-12 * (1.0 + np.linalg.norm(b) + z_norm + np.sqrt(mat.frob_sq) * x_norm)
             np.testing.assert_allclose(res.row, row, rtol=0, atol=atol)
             np.testing.assert_allclose(res.col, col, rtol=0, atol=atol * np.sqrt(mat.frob_sq))
             row_crit, col_crit = res.criteria()
@@ -984,6 +995,48 @@ def test_residual_cache_refreshes_after_refresh_updates(step):
         made = 2 if step is agrak_step and out.kind == "col" else 1
         assert st.cache.updates == before + made
     assert refreshes >= 2
+
+
+def test_sampled_column_residual_refreshes_after_refresh_updates():
+    # on sparse storage one update per projection that moves z (a column
+    # step's x refresh moves x only); A^T z is carried from block to block,
+    # and the step that finds RESIDUAL_REFRESH or more rebuilds it
+    mat, _ = random_sparse_matrix(np.random.default_rng(45), 60, 20)
+    system = kl.LinearSystem(mat, np.random.default_rng(46).standard_normal(60))
+    step = functools.partial(sampled_step, eta_s=0.2)
+    st = init_state(system, seed=7)
+    step(st, system)
+    refreshes = blocks = 0
+    for _ in range(2 * RESIDUAL_REFRESH + 100):
+        block, kept, before = st.cache, st.cache.kept, st.cache.kept.updates
+        step(st, system)
+        blocks += st.cache is not block
+        if before >= RESIDUAL_REFRESH:
+            assert st.cache.kept is not kept
+            refreshes += 1
+            before = 0
+        else:
+            assert st.cache.kept is kept
+        assert st.cache.kept.updates == before + 1
+    assert refreshes >= 2 and blocks > 2 * RESIDUAL_REFRESH / _DRAW_BLOCK
+
+
+def test_sampled_picks_do_not_depend_on_kept_column_residual(monkeypatch):
+    # columns scored from the kept A^T z (column side memoized) or by dots
+    # (memo off) make the same picks and reach the same iterates, byte for byte
+    mat = kl.gen_sparse_gaussian(3000, 60, 0.05, seed=1)
+    system = kl.LinearSystem(mat, np.random.default_rng(0).standard_normal(3000))
+    runs = []
+    for memo_entries in (kl.matrix.GRAM_MEMO_ENTRIES, 0):
+        monkeypatch.setattr(kl.matrix, "GRAM_MEMO_ENTRIES", memo_entries)
+        st = init_state(system, seed=5)
+        picks = [(out.kind, out.row, out.col) for out in
+                 (sampled_step(st, system) for _ in range(2000))]
+        assert (st.cache.kept is None) == (memo_entries == 0)
+        runs.append((picks, st.x.tobytes(), st.z.tobytes()))
+    picks = runs[0][0]
+    assert {kind for kind, _, _ in picks} == {"row", "col"}
+    assert runs[0] == runs[1]
 
 
 def _touched_criteria_system(storage, monkeypatch, seed):
