@@ -44,10 +44,11 @@ an index that comes back costs one axpy instead of a matrix-vector product
 store has its own p x p table, p being the length of ``out`` (m for the row
 side, n for the column side), allocated on the store's first update and only
 when p^2 is at most ``GRAM_MEMO_ENTRIES``; a larger side runs its kernel on
-every call.  The table is zero-filled memory, so only the rows actually
-filled are touched: at most 8 p^2 bytes per side.  Results do not depend on
-whether the memo is warm, and on dense storage they are bit-identical to
-the kernel's.  So a matrix is immutable, memo and all: ``copy.copy`` and
+every call.  ``col_grams_memoized`` tells whether the column side's table
+has been allocated.  The table is zero-filled memory, so only the rows
+actually filled are touched: at most 8 p^2 bytes per side.  Results do not
+depend on whether the memo is warm, and on dense storage they are
+bit-identical to the kernel's.  So a matrix is immutable, memo and all: ``copy.copy`` and
 ``copy.deepcopy`` return it, and copies share every cache keyed on it.
 
 Scalars are real float64 throughout.
@@ -73,11 +74,6 @@ __all__ = [
 # largest p * p table of Gram rows one side of a matrix memoizes (8 bytes an
 # entry, so 128 MiB); a side whose table would be larger is never memoized
 GRAM_MEMO_ENTRIES = 1 << 24
-
-
-def _memo_fits(p: int) -> bool:
-    """Whether a side of p lines memoizes its Gram rows (a p x p table)."""
-    return p * p <= GRAM_MEMO_ENTRIES
 
 
 def as_vector(values, length: int | None = None, name: str = "vector") -> np.ndarray:
@@ -244,7 +240,7 @@ class _Lines:
         memo = self.memo
         if memo is None:
             p = self.count
-            if not _memo_fits(p):
+            if p * p > GRAM_MEMO_ENTRIES:
                 return self.gram_kernel(other, out, k, c)
             # zeroed pages are mapped on first write: rows never filled cost
             # no memory
@@ -462,6 +458,12 @@ class RowColMatrix:
     def gram_col_update(self, out: np.ndarray, j: int, c: float):
         """out += c * (A^T @ A_(j)), from the memo of Gram rows where it fits."""
         return self._col_lines.gram_update(self._row_lines, out, j, c)
+
+    def col_grams_memoized(self) -> bool:
+        """Whether column Gram rows A^T A_(j) are memoized: the column side
+        fits ``GRAM_MEMO_ENTRIES`` and a ``gram_col_update`` has started its
+        table, as a greedy engine's first column step does."""
+        return self._col_lines.memo is not None
 
     # -- cached cumulative norm tables for weighted index sampling ----------
 

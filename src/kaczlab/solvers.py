@@ -30,14 +30,15 @@ products, which the matrix memoizes per index where its side fits
 drift.  They also hold their normalized squared criteria; on sparse storage
 the row criteria are recomputed only on the entries the previous step
 wrote.  ``sampled`` and ``rek`` never form the m-length residual b - z - A x,
-and rek never fills the memo.  On sparse storage whose column side fits the
-memo, sampled keeps the n-length A^T z the same way (``_ColResidual``) and
-scores its columns from it; elsewhere it dots them, since a dense Gram
-column reads all of A and an unmemoized sparse one re-accumulates its
-lines on every step.  rek and sampled draw ``_DRAW_BLOCK`` steps ahead (rek
-its row and column pairs, sampled its subsets), so after such steps a
-stream shared with other engines sits further along than one draw per step
-would leave it.
+and neither starts the memo.  Where another engine has started the column
+side's memo on a sparse matrix, sampled keeps the n-length A^T z the same
+way (``_ColResidual``) and scores its columns from it; elsewhere it dots
+them.  A Gram row computed for one use costs more than the dots it saves
+(a dense one reads all of A), so the kept vector pays only where the rows
+are already there or a long run reuses them.  rek and sampled draw
+``_DRAW_BLOCK`` steps ahead (rek its row and column pairs, sampled its
+subsets), so after such steps a stream shared with other engines sits
+further along than one draw per step would leave it.
 
 One cache rule: a state carries one engine cache, that of the engine that
 last stepped it, keyed on immutable inputs: the residuals on the system and
@@ -59,7 +60,7 @@ import numpy as np
 
 from .diagnostics import BoundReport
 from .errors import ZeroResidual
-from .matrix import RowColMatrix, _memo_fits, as_vector, check_vector
+from .matrix import RowColMatrix, as_vector, check_vector
 from .sampling import (
     STREAM_SOLVER,
     RngStream,
@@ -249,7 +250,9 @@ class _ColResidual:
 
     ``_apply`` keeps it in step with z, one ``updates`` per projection that
     moves z; ``of`` rebuilds it after ``RESIDUAL_REFRESH`` of them, to cap
-    drift, or when its matrix or z is not the step's.
+    drift, or when its matrix or z is not the step's.  A column picked on a
+    kept score whose fresh A_(j) . z is zero was picked on drift alone, so
+    that step marks the vector for a rebuild at once.
     """
 
     def __init__(self, mat: RowColMatrix, z: np.ndarray):
@@ -374,7 +377,7 @@ def _apply(state: SolverState, system, t: int, value: float, res: _Residuals | N
         c = _apply_column_projection(mat, j, state.z, res)
         if kept is not None:
             mat.gram_col_update(kept.col, j, -c)
-            kept.updates += 1
+            kept.updates = RESIDUAL_REFRESH if c == 0.0 else kept.updates + 1
         i = None
         if refresh:
             i = weighted_row_sample(mat, state.rng)
@@ -508,8 +511,8 @@ class _SubsetBlock:
     rows and the squared norms of its columns, and holds the matrix's
     scorer of its rows (``row_scorer``, whose ids are checked once), so
     ``take`` scores a subset's rows with one call.  Columns are scored from
-    ``kept``, the A^T z that ``of`` carries from block to block on sparse
-    storage whose column side fits the Gram memo, or else by ``cols_dot``.
+    ``kept``, the A^T z that ``of`` carries from block to block on a sparse
+    matrix whose column Gram rows are memoized, or else by ``cols_dot``.
     A block belongs to one matrix and one subset size; ``take`` scores the
     next unused subset against the step's right-hand side.
     """
@@ -534,13 +537,13 @@ class _SubsetBlock:
         """The state's block for a step on ``mat`` with size-k subsets, drawn
         anew when spent or when its matrix or subset size is not the step's,
         with its A^T z kept for the state's z where the matrix is sparse and
-        its column side fits the Gram memo."""
+        memoizes its column Gram rows (``col_grams_memoized``)."""
         block = state.cache
         kept = block.kept if type(block) is cls else None
         if (type(block) is not cls or block.used >= _DRAW_BLOCK or block.mat is not mat
                 or block.k != k):
             block = state.cache = cls(mat, k, state.rng)
-        if mat.is_sparse and _memo_fits(mat.n):
+        if mat.is_sparse and mat.col_grams_memoized():
             block.kept = _ColResidual.of(kept, mat, state.z)
         return block
 

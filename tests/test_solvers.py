@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, strategies
 
 import kaczlab as kl
@@ -870,10 +871,11 @@ def _mixed_step_systems(storage):
        seed=strategies.integers(0, 2**16),
        moves=strategies.lists(strategies.tuples(
            strategies.sampled_from([*_ENGINE_STEPS, "assign x", "assign z",
-                                    "write and invalidate"]),
+                                    "write and invalidate", "start column memo"]),
            strategies.integers(0, 2)), min_size=1, max_size=30))
 # sampled's A^T z is keyed on the z array and carried to another system on its matrix
-@example(storage="sparse", seed=0, moves=[("sampled", 0), ("assign z", 0), ("sampled", 1)])
+@example(storage="sparse", seed=0, moves=[("start column memo", 0), ("sampled", 0),
+                                          ("assign z", 0), ("sampled", 1)])
 def test_step_invariants_over_mixed_sequences(storage, seed, moves):
     # whichever engines, systems and caller writes came before, a row step
     # zeroes its equation, a column step zeroes A_(j)^T z, the state holds the
@@ -894,6 +896,9 @@ def test_step_invariants_over_mixed_sequences(storage, seed, moves):
             st.z[which] += 0.5
             st.invalidate()
             continue
+        if move == "start column memo":  # as a greedy engine's column step does
+            mat.gram_col_update(np.zeros(mat.n), which, 0.0)
+            continue
         out = _ENGINE_STEPS[move](st, system)
         assert isinstance(st.cache, _ENGINE_CACHE[move])
         x_norm, z_norm = np.linalg.norm(st.x), np.linalg.norm(st.z)
@@ -907,10 +912,10 @@ def test_step_invariants_over_mixed_sequences(storage, seed, moves):
         row, col = b - st.z - mat.matvec(st.x), mat.rmatvec(st.z)
         atol = 1e-12 * (1.0 + np.linalg.norm(b) + z_norm + np.sqrt(mat.frob_sq) * x_norm)
         if isinstance(st.cache, _SubsetBlock):
-            # sampled keeps A^T z only on sparse storage, whose column side
-            # fits the Gram memo here
+            # sampled keeps A^T z only on sparse storage whose column Gram
+            # rows are memoized (the matrices here are shared between examples)
             kept = st.cache.kept
-            assert (kept is not None) == mat.is_sparse
+            assert (kept is not None) == (mat.is_sparse and mat.col_grams_memoized())
             if kept is not None:
                 assert kept.mat is mat and kept.z is st.z
                 np.testing.assert_allclose(kept.col, col, rtol=0,
@@ -1002,6 +1007,7 @@ def test_sampled_column_residual_refreshes_after_refresh_updates():
     # step's x refresh moves x only); A^T z is carried from block to block,
     # and the step that finds RESIDUAL_REFRESH or more rebuilds it
     mat, _ = random_sparse_matrix(np.random.default_rng(45), 60, 20)
+    mat.gram_col_update(np.zeros(20), 0, 0.0)  # as a greedy engine's column step does
     system = kl.LinearSystem(mat, np.random.default_rng(46).standard_normal(60))
     step = functools.partial(sampled_step, eta_s=0.2)
     st = init_state(system, seed=7)
@@ -1021,22 +1027,91 @@ def test_sampled_column_residual_refreshes_after_refresh_updates():
     assert refreshes >= 2 and blocks > 2 * RESIDUAL_REFRESH / _DRAW_BLOCK
 
 
-def test_sampled_picks_do_not_depend_on_kept_column_residual(monkeypatch):
-    # columns scored from the kept A^T z (column side memoized) or by dots
-    # (memo off) make the same picks and reach the same iterates, byte for byte
+def _sparse_sampled_run(steps, start_memo, memo_entries, monkeypatch):
+    """A sampled run on a fresh sparse system: its picks, its last block and
+    its final x and z as bytes."""
+    monkeypatch.setattr(kl.matrix, "GRAM_MEMO_ENTRIES", memo_entries)
     mat = kl.gen_sparse_gaussian(3000, 60, 0.05, seed=1)
+    if start_memo:
+        mat.gram_col_update(np.zeros(60), 0, 0.0)
     system = kl.LinearSystem(mat, np.random.default_rng(0).standard_normal(3000))
+    st = init_state(system, seed=5)
+    picks = [(out.kind, out.row, out.col) for out in
+             (sampled_step(st, system) for _ in range(steps))]
+    return picks, st.cache, st.x.tobytes(), st.z.tobytes()
+
+
+def test_sampled_picks_do_not_depend_on_kept_column_residual(monkeypatch):
+    # columns scored from the kept A^T z (column memo started) or by dots
+    # (memo not started, or past the cap) make the same picks and reach the
+    # same iterates, byte for byte; on a fresh matrix sampled never starts
+    # the memo itself
+    cap = kl.matrix.GRAM_MEMO_ENTRIES
     runs = []
-    for memo_entries in (kl.matrix.GRAM_MEMO_ENTRIES, 0):
-        monkeypatch.setattr(kl.matrix, "GRAM_MEMO_ENTRIES", memo_entries)
-        st = init_state(system, seed=5)
-        picks = [(out.kind, out.row, out.col) for out in
-                 (sampled_step(st, system) for _ in range(2000))]
-        assert (st.cache.kept is None) == (memo_entries == 0)
-        runs.append((picks, st.x.tobytes(), st.z.tobytes()))
-    picks = runs[0][0]
-    assert {kind for kind, _, _ in picks} == {"row", "col"}
-    assert runs[0] == runs[1]
+    for start_memo, memo_entries in ((True, cap), (False, cap), (True, 0)):
+        picks, block, x, z = _sparse_sampled_run(2000, start_memo, memo_entries, monkeypatch)
+        kept = start_memo and memo_entries > 0
+        assert (block.kept is not None) == kept
+        assert block.mat.col_grams_memoized() == kept
+        runs.append((picks, x, z))
+    assert {kind for kind, _, _ in runs[0][0]} == {"row", "col"}
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("start_memo", [False, True])
+def test_sampled_zero_criteria_on_sparse_storage(start_memo, monkeypatch):
+    # the fallback and the converged report on sparse storage, with columns
+    # dotted or scored from the kept A^T z: of a 6x4 system with two entries
+    # in each row but the last, only row 5 and column 3 carry criteria at
+    # the start, and the first two subsets of seed 13 miss both
+    dense = np.zeros((6, 4))
+    dense[np.arange(5), np.arange(5) % 4] = 1.0
+    dense[np.arange(5), (np.arange(5) + 1) % 4] = 0.5
+    dense[5, 3] = 1.0
+    mat = build_matrix(sp.csr_matrix(dense))
+    if start_memo:
+        mat.gram_col_update(np.zeros(4), 0, 0.0)
+    fallbacks = []
+
+    class Counted(_Residuals):
+        def __init__(self, *args):
+            fallbacks.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(kl.solvers, "_Residuals", Counted)
+    system = kl.LinearSystem(mat, np.zeros(6))
+    st = init_state(system, seed=13)
+    st.z = np.array([0.0, 0.0, 0.0, 0.0, 0.0, -2.0])
+    out = sampled_step(st, system, eta_s=0.3)
+    assert len(fallbacks) == 1 and (out.row, out.kind) == (5, "row")
+    assert (st.cache.kept is not None) == start_memo
+    # at an exact solution every criterion is zero, in the subsets and in full
+    system = kl.LinearSystem(mat, mat.matvec(np.ones(4)))
+    st = init_state(system, seed=13)
+    st.x, st.z = np.ones(4), np.zeros(6)
+    assert sampled_step(st, system, eta_s=0.3).converged
+
+
+def test_sampled_rebuilds_kept_column_residual_picked_on_drift():
+    # at an exact solution, a kept A^T z that drifted off zero picks a column
+    # whose projection moves nothing; that step marks the vector for a
+    # rebuild, so the next step scores zeros and reports convergence
+    dense = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.5], [0.5, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    mat = build_matrix(sp.csr_matrix(dense))
+    mat.gram_col_update(np.zeros(3), 0, 0.0)
+    system = kl.LinearSystem(mat, mat.matvec(np.ones(3)))
+    st = init_state(system, seed=3)
+    st.x, st.z = np.ones(3), np.zeros(4)
+    assert sampled_step(st, system, eta_s=1.0).converged
+    kept = st.cache.kept
+    kept.col[:] = 1e-17  # drift: every column scores above zero
+    out = sampled_step(st, system, eta_s=1.0)
+    assert out.kind == "col" and st.cache.kept is kept
+    assert kept.updates == RESIDUAL_REFRESH
+    np.testing.assert_array_equal(st.x, np.ones(3))
+    np.testing.assert_array_equal(st.z, np.zeros(4))
+    assert sampled_step(st, system, eta_s=1.0).converged
+    assert st.cache.kept is not kept and not st.cache.kept.col.any()
 
 
 def _touched_criteria_system(storage, monkeypatch, seed):
