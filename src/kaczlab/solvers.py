@@ -31,11 +31,10 @@ drift.  They also hold their normalized squared criteria; on sparse storage
 the row criteria are recomputed only on the entries the previous step
 wrote.  ``sampled`` and ``rek`` never form the m-length residual b - z - A x,
 and neither starts the memo.  Where another engine has started the column
-side's memo on a sparse matrix, sampled keeps the n-length A^T z the same
-way (``_ColResidual``) and scores its columns from it; elsewhere it dots
-them.  A Gram row computed for one use costs more than the dots it saves
-(a dense one reads all of A), so the kept vector pays only where the rows
-are already there or a long run reuses them.  rek and sampled draw
+side's memo, sampled keeps the n-length A^T z the same way
+(``_ColResidual``) and scores its columns from it; elsewhere it dots them.
+A Gram row computed for one use costs more than the dots it saves, so the
+kept vector pays only where the rows are already there.  rek and sampled draw
 ``_DRAW_BLOCK`` steps ahead (rek its row and column pairs, sampled its
 subsets), so after such steps a stream shared with other engines sits
 further along than one draw per step would leave it.
@@ -511,8 +510,8 @@ class _SubsetBlock:
     rows and the squared norms of its columns, and holds the matrix's
     scorer of its rows (``row_scorer``, whose ids are checked once), so
     ``take`` scores a subset's rows with one call.  Columns are scored from
-    ``kept``, the A^T z that ``of`` carries from block to block on a sparse
-    matrix whose column Gram rows are memoized, or else by ``cols_dot``.
+    ``kept``, the A^T z that ``of`` carries from block to block on a matrix
+    whose column Gram rows are memoized, or else by ``cols_dot``.
     A block belongs to one matrix and one subset size; ``take`` scores the
     next unused subset against the step's right-hand side.
     """
@@ -536,14 +535,14 @@ class _SubsetBlock:
     def of(cls, state: SolverState, mat, k: int) -> _SubsetBlock:
         """The state's block for a step on ``mat`` with size-k subsets, drawn
         anew when spent or when its matrix or subset size is not the step's,
-        with its A^T z kept for the state's z where the matrix is sparse and
-        memoizes its column Gram rows (``col_grams_memoized``)."""
+        with its A^T z kept for the state's z where the matrix memoizes its
+        column Gram rows (``col_grams_memoized``)."""
         block = state.cache
         kept = block.kept if type(block) is cls else None
         if (type(block) is not cls or block.used >= _DRAW_BLOCK or block.mat is not mat
                 or block.k != k):
             block = state.cache = cls(mat, k, state.rng)
-        if mat.is_sparse and mat.col_grams_memoized():
+        if mat.col_grams_memoized():
             block.kept = _ColResidual.of(kept, mat, state.z)
         return block
 

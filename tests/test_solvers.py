@@ -912,10 +912,11 @@ def test_step_invariants_over_mixed_sequences(storage, seed, moves):
         row, col = b - st.z - mat.matvec(st.x), mat.rmatvec(st.z)
         atol = 1e-12 * (1.0 + np.linalg.norm(b) + z_norm + np.sqrt(mat.frob_sq) * x_norm)
         if isinstance(st.cache, _SubsetBlock):
-            # sampled keeps A^T z only on sparse storage whose column Gram
-            # rows are memoized (the matrices here are shared between examples)
+            # sampled keeps A^T z exactly where the column Gram rows are
+            # memoized, on either storage (the matrices here are shared
+            # between examples)
             kept = st.cache.kept
-            assert (kept is not None) == (mat.is_sparse and mat.col_grams_memoized())
+            assert (kept is not None) == mat.col_grams_memoized()
             if kept is not None:
                 assert kept.mat is mat and kept.z is st.z
                 np.testing.assert_allclose(kept.col, col, rtol=0,
@@ -1027,11 +1028,14 @@ def test_sampled_column_residual_refreshes_after_refresh_updates():
     assert refreshes >= 2 and blocks > 2 * RESIDUAL_REFRESH / _DRAW_BLOCK
 
 
-def _sparse_sampled_run(steps, start_memo, memo_entries, monkeypatch):
-    """A sampled run on a fresh sparse system: its picks, its last block and
-    its final x and z as bytes."""
+def _sampled_run(storage, steps, start_memo, memo_entries, monkeypatch):
+    """A sampled run on a fresh dense or sparse 3000x60 system: its picks, its
+    last block and its final x and z as bytes."""
     monkeypatch.setattr(kl.matrix, "GRAM_MEMO_ENTRIES", memo_entries)
-    mat = kl.gen_sparse_gaussian(3000, 60, 0.05, seed=1)
+    if storage == "dense":
+        mat = kl.gen_gaussian(3000, 60, seed=1)
+    else:
+        mat = kl.gen_sparse_gaussian(3000, 60, 0.05, seed=1)
     if start_memo:
         mat.gram_col_update(np.zeros(60), 0, 0.0)
     system = kl.LinearSystem(mat, np.random.default_rng(0).standard_normal(3000))
@@ -1042,25 +1046,29 @@ def _sparse_sampled_run(steps, start_memo, memo_entries, monkeypatch):
 
 
 def test_sampled_picks_do_not_depend_on_kept_column_residual(monkeypatch):
-    # columns scored from the kept A^T z (column memo started) or by dots
-    # (memo not started, or past the cap) make the same picks and reach the
-    # same iterates, byte for byte; on a fresh matrix sampled never starts
-    # the memo itself
+    # on either storage, columns scored from the kept A^T z (column memo
+    # started) or by dots (memo not started, or past the cap) make the same
+    # picks and reach the same iterates, byte for byte; on a fresh matrix
+    # sampled never starts the memo itself
     cap = kl.matrix.GRAM_MEMO_ENTRIES
-    runs = []
-    for start_memo, memo_entries in ((True, cap), (False, cap), (True, 0)):
-        picks, block, x, z = _sparse_sampled_run(2000, start_memo, memo_entries, monkeypatch)
-        kept = start_memo and memo_entries > 0
-        assert (block.kept is not None) == kept
-        assert block.mat.col_grams_memoized() == kept
-        runs.append((picks, x, z))
-    assert {kind for kind, _, _ in runs[0][0]} == {"row", "col"}
-    assert runs[0] == runs[1] == runs[2]
+    for storage in ("dense", "sparse"):
+        runs = []
+        for start_memo, memo_entries in ((True, cap), (False, cap), (True, 0)):
+            picks, block, x, z = _sampled_run(storage, 2000, start_memo, memo_entries,
+                                              monkeypatch)
+            kept = start_memo and memo_entries > 0
+            assert block.mat.is_sparse == (storage == "sparse")
+            assert (block.kept is not None) == kept
+            assert block.mat.col_grams_memoized() == kept
+            runs.append((picks, x, z))
+        assert {kind for kind, _, _ in runs[0][0]} == {"row", "col"}
+        assert runs[0] == runs[1] == runs[2]
 
 
 @pytest.mark.parametrize("start_memo", [False, True])
-def test_sampled_zero_criteria_on_sparse_storage(start_memo, monkeypatch):
-    # the fallback and the converged report on sparse storage, with columns
+@pytest.mark.parametrize("storage", ["sparse", "dense"])
+def test_sampled_zero_criteria_on_either_storage(storage, start_memo, monkeypatch):
+    # the fallback and the converged report on either storage, with columns
     # dotted or scored from the kept A^T z: of a 6x4 system with two entries
     # in each row but the last, only row 5 and column 3 carry criteria at
     # the start, and the first two subsets of seed 13 miss both
@@ -1068,7 +1076,7 @@ def test_sampled_zero_criteria_on_sparse_storage(start_memo, monkeypatch):
     dense[np.arange(5), np.arange(5) % 4] = 1.0
     dense[np.arange(5), (np.arange(5) + 1) % 4] = 0.5
     dense[5, 3] = 1.0
-    mat = build_matrix(sp.csr_matrix(dense))
+    mat = build_matrix(sp.csr_matrix(dense) if storage == "sparse" else dense)
     if start_memo:
         mat.gram_col_update(np.zeros(4), 0, 0.0)
     fallbacks = []
@@ -1095,23 +1103,25 @@ def test_sampled_zero_criteria_on_sparse_storage(start_memo, monkeypatch):
 def test_sampled_rebuilds_kept_column_residual_picked_on_drift():
     # at an exact solution, a kept A^T z that drifted off zero picks a column
     # whose projection moves nothing; that step marks the vector for a
-    # rebuild, so the next step scores zeros and reports convergence
+    # rebuild, so the next step scores zeros and reports convergence, on
+    # either storage
     dense = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.5], [0.5, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    mat = build_matrix(sp.csr_matrix(dense))
-    mat.gram_col_update(np.zeros(3), 0, 0.0)
-    system = kl.LinearSystem(mat, mat.matvec(np.ones(3)))
-    st = init_state(system, seed=3)
-    st.x, st.z = np.ones(3), np.zeros(4)
-    assert sampled_step(st, system, eta_s=1.0).converged
-    kept = st.cache.kept
-    kept.col[:] = 1e-17  # drift: every column scores above zero
-    out = sampled_step(st, system, eta_s=1.0)
-    assert out.kind == "col" and st.cache.kept is kept
-    assert kept.updates == RESIDUAL_REFRESH
-    np.testing.assert_array_equal(st.x, np.ones(3))
-    np.testing.assert_array_equal(st.z, np.zeros(4))
-    assert sampled_step(st, system, eta_s=1.0).converged
-    assert st.cache.kept is not kept and not st.cache.kept.col.any()
+    for data in (sp.csr_matrix(dense), dense):
+        mat = build_matrix(data)
+        mat.gram_col_update(np.zeros(3), 0, 0.0)
+        system = kl.LinearSystem(mat, mat.matvec(np.ones(3)))
+        st = init_state(system, seed=3)
+        st.x, st.z = np.ones(3), np.zeros(4)
+        assert sampled_step(st, system, eta_s=1.0).converged
+        kept = st.cache.kept
+        kept.col[:] = 1e-17  # drift: every column scores above zero
+        out = sampled_step(st, system, eta_s=1.0)
+        assert out.kind == "col" and st.cache.kept is kept
+        assert kept.updates == RESIDUAL_REFRESH
+        np.testing.assert_array_equal(st.x, np.ones(3))
+        np.testing.assert_array_equal(st.z, np.zeros(4))
+        assert sampled_step(st, system, eta_s=1.0).converged
+        assert st.cache.kept is not kept and not st.cache.kept.col.any()
 
 
 def _touched_criteria_system(storage, monkeypatch, seed):
