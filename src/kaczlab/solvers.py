@@ -33,11 +33,11 @@ wrote.  ``sampled`` and ``rek`` never form the m-length residual b - z - A x,
 and neither starts the memo.  Where another engine has started the column
 side's memo, sampled keeps the n-length A^T z the same way
 (``_ColResidual``) and scores its columns from it; elsewhere it dots them.
-A Gram row computed for one use costs more than the dots it saves, so the
-kept vector pays only where the rows are already there.  rek and sampled draw
-``_DRAW_BLOCK`` steps ahead (rek its row and column pairs, sampled its
-subsets), so after such steps a stream shared with other engines sits
-further along than one draw per step would leave it.
+A Gram row computed for one use costs more than the dots it saves, so a
+run that finds no memo dots its columns rather than start one.  rek and
+sampled draw ``_DRAW_BLOCK`` steps ahead (rek its row and column pairs,
+sampled its subsets), so after such steps a stream shared with other
+engines sits further along than one draw per step would leave it.
 
 One cache rule: a state carries one engine cache, that of the engine that
 last stepped it, keyed on immutable inputs: the residuals on the system and
