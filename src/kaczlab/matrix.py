@@ -17,25 +17,30 @@ outright; the solvers divide by those norms.
 A sparse store's batched kernels are scipy's compiled CSR loops from the
 private module ``scipy.sparse._sparsetools``, which scipy builds and ships,
 so they need no build step here: ``csr_matvec`` dots a batch of lines with a
-vector where they lie in the store's own arrays, ``csr_row_index`` gathers
-the lines a sparse Gram row is accumulated from into contiguous segments,
-and ``csc_matvec`` adds their weighted sum into the Gram row in place.  Only
-this module calls them.  They check no bounds: an id past either end of a
-line table, or a vector or output shorter than the indices that reach into
-it, reads or writes outside the arrays.  So before a call every
-caller-supplied id is checked against [0, count) (``IndexOutOfRange``), and
-every vector and output against its length and float64 dtype
-(``ValueError``).
+vector, and ``csc_matvec`` adds a weighted sum of lines into a Gram row.
+Both read the lines in place, running over their (start, end) pointer pairs
+in descending order of offset as a pointer array, so the stretch between
+two pairs is an empty line.  The column store lays A's columns out last to
+first, so a row's ascending column ids sit at descending offsets and a Gram
+row A A^(i) reads them in place.  ``csr_row_index`` gathers lines into
+contiguous segments for the other Gram rows: A^T A_(j), and an A A^(i)
+whose written entries the caller can use.  Only this module calls the
+loops.  They check no bounds: an id past either end of a line table, or a
+vector or output shorter than the indices that reach into it, reads or
+writes outside the arrays.  So before a call every caller-supplied id is
+checked against [0, count) (``IndexOutOfRange``), and every vector and
+output against its length and float64 dtype (``ValueError``).
 
 A sparse store keeps ``np.intp`` copies of the CSR index arrays (numpy
 casts an int32 index array to intp on every fancy index, and the compiled
 loops take one integer type throughout); the scipy operator ``op`` keeps
 scipy's own int32 arrays for whole products.  It also keeps each line's
 (start, end) offsets as one 16-byte record, so a batch's pointer pairs are
-one gather.  The line stores and scipy's arrays take 12.5 MB on the
-60000 x 209 benchmark system and 72 MB on the N=60 tomography matrix
-(22375 x 3600), the records 1.0 MB and 0.4 MB of that; one set-up of those
-workloads peaks at 75 MiB and 221 MiB of RSS.
+one gather.  The column store's arrays are its own copy either way, so
+laying them out last column first costs no memory.  The line stores and
+scipy's arrays take 12.5 MB on the 60000 x 209 benchmark system and 72 MB on
+the N=60 tomography matrix (22375 x 3600), the records 1.0 MB and 0.4 MB of
+that; one set-up of those workloads peaks at 76 MiB and 221 MiB of RSS.
 
 The Gram updates ``gram_row_update`` (out += c A A^(i)) and
 ``gram_col_update`` (out += c A^T A_(j)) memoize one Gram row per index, so
@@ -116,14 +121,16 @@ class _Lines:
     ``indptr``/``indices``/``data`` the store keeps; ``op`` is the operand
     for whole products and dense Gram rows; ``norms_sq`` gives a dense
     operand's squared line norms.  ``count`` lines of ``width`` entries.
-    The Gram methods take the other store, whose lines a sparse Gram row is
-    accumulated from.
+    With ``reverse``, the CSR arrays hold the lines last line first: line k
+    is CSR row count - 1 - k.  The Gram methods take the other store, whose
+    lines a sparse Gram row is accumulated from.
     """
 
-    def __init__(self, kind: str, lines, op, norms_sq=None):
+    def __init__(self, kind: str, lines, op, norms_sq=None, reverse=False):
         self.kind = kind
         self.count, self.width = lines.shape
         self.op = op
+        self.reverse = reverse
         if sp.issparse(lines):
             self.block = None
             # intp copies: numpy casts an int32 index array on every fancy
@@ -131,15 +138,18 @@ class _Lines:
             self.indptr = lines.indptr.astype(np.intp)
             self.indices = lines.indices.astype(np.intp)
             self.data = lines.data
-            self.lengths = np.diff(self.indptr)
             # line k's (start, end) offsets as one record (see the module
             # docstring)
-            self.bounds = np.stack((self.indptr[:-1], self.indptr[1:]), axis=1).view(
-                np.dtype((np.void, 2 * self.indptr.itemsize))).ravel()
+            pairs = np.stack((self.indptr[:-1], self.indptr[1:]), axis=1)
             # a square past float64's range is inf, as a dense store's einsum
             # gives it, without a warning
             with np.errstate(over="ignore"):
                 norms_sq = _segment_sums(self.data**2, self.indptr, self.count)
+            if reverse:
+                pairs, norms_sq = pairs[::-1].copy(), norms_sq[::-1].copy()
+            self.starts, self.ends = pairs[:, 0], pairs[:, 1]
+            self.lengths = self.ends - self.starts
+            self.bounds = pairs.view(np.dtype((np.void, pairs.strides[0]))).ravel()
         else:
             self.block = lines
         norms_sq.flags.writeable = False
@@ -155,12 +165,12 @@ class _Lines:
     def dot(self, k: int, v: np.ndarray) -> float:
         if self.block is not None:
             return float(self.block[k] @ v)
-        s, e = self.indptr[k], self.indptr[k + 1]
+        s, e = self.starts[k], self.ends[k]
         return float(self.data[s:e] @ v[self.indices[s:e]])
 
     def checked(self, ids) -> np.ndarray:
         """An intp copy of ``ids``, every id checked against [0, count) first:
-        the compiled loops read line ``ids[r]`` through ``indptr`` unchecked,
+        the compiled loops read line ``ids[r]`` through its offsets unchecked,
         and an id past either end reads outside it."""
         ids = np.asarray(ids).astype(np.intp, casting="safe")
         if ids.size and (ids.min() < 0 or ids.max() >= self.count):
@@ -168,22 +178,27 @@ class _Lines:
             raise IndexOutOfRange(f"{self.kind} index {bad} outside [0, {self.count})")
         return ids
 
-    def _gather(self, ids: np.ndarray):
-        """Values and indices of intp lines ``ids``, already known to lie in
-        [0, count), concatenated, and the offsets of each line's segment
-        (line r at ``offsets[r]:offsets[r + 1]``)."""
+    def _offsets(self, ids: np.ndarray) -> np.ndarray:
+        """Where each of lines ``ids`` would sit, gathered one after another:
+        line r at ``offsets[r]:offsets[r + 1]``."""
         offsets = np.zeros(len(ids) + 1, dtype=np.intp)
         np.add.accumulate(self.lengths[ids], out=offsets[1:])
+        return offsets
+
+    def _gather(self, ids: np.ndarray, offsets: np.ndarray):
+        """Values and indices of intp lines ``ids``, already known to lie in
+        [0, count), concatenated as ``_offsets(ids)`` lays them out."""
         idx = np.empty(offsets[-1], dtype=np.intp)
         vals = np.empty(offsets[-1])
-        _sparsetools.csr_row_index(len(ids), ids, self.indptr, self.indices, self.data,
+        rows = self.count - 1 - ids if self.reverse else ids
+        _sparsetools.csr_row_index(len(ids), rows, self.indptr, self.indices, self.data,
                                    idx, vals)
-        return vals, idx, offsets
+        return vals, idx
 
     def pair_dots(self, ptr: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Dot of ``v`` with each sparse line whose (start, end) offsets ``ptr``
-        lists, flat, in non-increasing line order; read where the lines lie in
-        the store's arrays.
+        lists, flat, in non-increasing order of offset; read where the lines
+        lie in the store's arrays.
 
         ``csr_matvec`` runs over ``ptr`` as a CSR pointer array, so the
         "line" between two pairs runs from one line's end back to a start at
@@ -200,7 +215,9 @@ class _Lines:
     def line_dots(self, ids: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``pair_dots`` of sparse lines ``ids`` (intp, already checked) in
         any order."""
-        order = np.argsort(ids, kind="stable")[::-1]
+        order = np.argsort(ids, kind="stable")
+        if not self.reverse:
+            order = order[::-1]
         dots = np.empty(len(ids))
         dots[order] = self.pair_dots(self.bounds[ids[order]].view(np.intp), v)
         return dots
@@ -216,13 +233,13 @@ class _Lines:
         if self.block is not None:
             out += c * self.block[k]
             return None
-        s, e = self.indptr[k], self.indptr[k + 1]
+        s, e = self.starts[k], self.ends[k]
         idx = self.indices[s:e]
         # a line holds each index once, so this adds exactly what += does
         np.add.at(out, idx, c * self.data[s:e])
         return idx
 
-    def gram_update(self, other: _Lines, out: np.ndarray, k: int, c: float):
+    def gram_update(self, other: _Lines, out: np.ndarray, k: int, c: float, room=np.inf):
         """out += c * G[k] for this store's Gram matrix G, G[k] memoized.
 
         A store whose p x p table (p = ``count``, the length of ``out``)
@@ -241,39 +258,52 @@ class _Lines:
         if memo is None:
             p = self.count
             if p * p > GRAM_MEMO_ENTRIES:
-                return self.gram_kernel(other, out, k, c)
+                return self.gram_kernel(other, out, k, c, room)
             # zeroed pages are mapped on first write: rows never filled cost
             # no memory
             memo = self.memo = (np.zeros((p, p)), np.zeros(p, dtype=bool))
         table, filled = memo
         row = table[k]
         if not filled[k]:
-            self.gram_kernel(other, row, k, 1.0)
+            self.gram_kernel(other, row, k, 1.0, -1)
             filled[k] = True
         out += c * row
         return None
 
-    def gram_kernel(self, other: _Lines, out: np.ndarray, k: int, c: float):
+    def gram_kernel(self, other: _Lines, out: np.ndarray, k: int, c: float, room=np.inf):
         """out += c * (op @ line k); touches only the lines of ``other`` where
         line k is nonzero.
 
-        Sparse: those lines, gathered, are the columns of a CSC matrix with
-        ``len(out)`` rows, and ``csc_matvec`` adds it times c * line k into
-        ``out`` in place, entry by entry in gather order.  Returns the
-        gathered indices, which hold every entry of ``out`` written (some
-        more than once), or None on dense storage, which writes every entry.
+        Sparse: ``csc_matvec`` adds those lines, in ascending order, times
+        c * line k into ``out``.  Where ``other`` lies last line first
+        (``reverse``), it reads them in place through their pointer pairs, as
+        ``pair_dots`` does, unless they hold at most ``room`` entries;
+        otherwise it reads them gathered into contiguous segments.  Each
+        entry receives the same products in the same order either way.
+        Returns the gathered indices, which hold every entry of ``out``
+        written (some more than once), or None: read in place, or dense
+        storage, which writes every entry.
         """
         if self.block is not None:
             out += c * (self.op @ self.block[k])
             return None
         check_vector(out, self.count, "out")
-        s, e = self.indptr[k], self.indptr[k + 1]
+        s, e = self.starts[k], self.ends[k]
         # a line's indices were range-checked when the matrix was built: each
         # lies in [0, other.count)
         hit = self.indices[s:e]
-        vals, idx, offsets = other._gather(hit)
-        _sparsetools.csc_matvec(len(out), len(hit), offsets, idx, vals, c * self.data[s:e],
-                                out)
+        scaled = c * self.data[s:e]
+        offsets = other._offsets(hit)
+        # int(): a numpy integer compared with a float costs a microsecond
+        if other.reverse and int(offsets[-1]) > room:
+            ptr = other.bounds[hit].view(np.intp)
+            weights = np.zeros(len(ptr) - 1)
+            weights[::2] = scaled
+            _sparsetools.csc_matvec(len(out), len(weights), ptr, other.indices, other.data,
+                                    weights, out)
+            return None
+        vals, idx = other._gather(hit, offsets)
+        _sparsetools.csc_matvec(len(out), len(hit), offsets, idx, vals, scaled, out)
         return idx
 
 
@@ -344,10 +374,18 @@ class RowColMatrix:
         csr.eliminate_zeros()
         self.nnz = int(csr.nnz)
         self._rows, self._csr = None, csr
-        # A's CSC arrays are the CSR arrays of A^T; csr.T is a CSC view of A
-        # sharing the CSR arrays, used for A^T @ z
         self._row_lines = _Lines("row", csr, csr)
-        self._col_lines = _Lines("column", csr.tocsc().T, csr.T)
+        # A's CSC arrays are the CSR arrays of A^T.  The column store lays
+        # them out last column first: the CSC arrays of A with its columns in
+        # reverse order, converted from csr with its column ids flipped in
+        # place for the conversion (so no flipped copy is made) and back after
+        # it.  csr.T is a CSC view of A sharing the CSR arrays, used for A^T @ z
+        np.subtract(self.n - 1, csr.indices, out=csr.indices)
+        try:
+            flipped = csr.tocsc()
+        finally:
+            np.subtract(self.n - 1, csr.indices, out=csr.indices)
+        self._col_lines = _Lines("column", flipped.T, csr.T, reverse=True)
 
     def __deepcopy__(self, memo=None):  # immutable: see the module docstring
         return self
@@ -364,7 +402,7 @@ class RowColMatrix:
                 if lines.block is not None:
                     entries = lines.block[k]
                 else:
-                    entries = lines.data[lines.indptr[k]:lines.indptr[k + 1]]
+                    entries = lines.data[lines.starts[k]:lines.ends[k]]
                 # nonzero entries all below ~1.5e-162 square to 0: the solvers
                 # would divide by that norm all the same
                 raise ZeroRowOrColumn(k, lines.kind, underflow=bool(np.any(entries)))
@@ -451,9 +489,13 @@ class RowColMatrix:
         """out += c * A_(j) with out of length m."""
         return self._col_lines.add_to(out, j, c)
 
-    def gram_row_update(self, out: np.ndarray, i: int, c: float):
-        """out += c * (A @ A^(i)), from the memo of Gram rows where it fits."""
-        return self._row_lines.gram_update(self._col_lines, out, i, c)
+    def gram_row_update(self, out: np.ndarray, i: int, c: float, room=np.inf):
+        """out += c * (A @ A^(i)), from the memo of Gram rows where it fits.
+
+        ``room`` is how many written indices the caller can use: a sparse
+        update that writes more may return None, which stands for every entry.
+        """
+        return self._row_lines.gram_update(self._col_lines, out, i, c, room)
 
     def gram_col_update(self, out: np.ndarray, j: int, c: float):
         """out += c * (A^T @ A_(j)), from the memo of Gram rows where it fits."""

@@ -13,24 +13,29 @@ Four engines share one :class:`SolverState` layout:
 * ``sampled``: evaluates the same criteria only on a small uniformly sampled
   index subset, a fresh one every iteration; branches as in ``agrak``.
 
-A ``grak``, ``agrak`` or ``sampled`` step selects one stacked index, then
-``_apply`` projects it (agrak and sampled refresh x on column steps).  It and
-``rek`` move the iterate through three helpers: a stacked-row projection (z_i
-and x), a column projection (z) and an x refresh along one row (x).  Each
-takes the arrays it moves, the index, its right-hand-side entry and the
-residuals it keeps in step (grak's and agrak's, else None), from which it
-reads the residual entry it zeroes; without them it computes that entry at
-the iterate.  The public projections ``augmented_row_update``,
-``column_z_update`` and ``kaczmarz_row_project`` wrap the same helpers.
+Every step selects one stacked index, then ``_apply`` projects it (agrak,
+sampled and rek refresh x on column steps; rek's selection is its drawn
+column, and its drawn row is the refresh row).  ``_apply`` moves the iterate
+through three helpers: a stacked-row projection (z_i and x), a column
+projection (z) and an x refresh along one row (x).  Each takes the arrays it
+moves, the index, its right-hand-side entry and the residuals it keeps in
+step (grak's and agrak's, else None), from which it reads the residual entry
+it zeroes; without them it computes that entry at the iterate.  The public
+projections ``augmented_row_update``, ``column_z_update`` and
+``kaczmarz_row_project`` wrap the same helpers.
 
 ``grak`` and ``agrak`` need the full residuals b - z - A x and A^T z each
 step, kept by the projection helpers (one row or column of the Gram
 products, which the matrix memoizes per index where its side fits
 ``GRAM_MEMO_ENTRIES``) and rebuilt after ``RESIDUAL_REFRESH`` updates to cap
 drift.  They also hold their normalized squared criteria; on sparse storage
-the row criteria are recomputed only on the entries the previous step
-wrote.  ``sampled`` and ``rek`` never form the m-length residual b - z - A x,
-and neither starts the memo.  Where another engine has started the column
+the row criteria are recomputed only on the entries written since the last
+row pass.  The helpers also keep a bound on the row criteria, and agrak
+skips the row pass while that bound shows that the best column wins, as on
+tomography matrices, where columns win almost every step; grak's thresholds
+need the exact largest row criterion, so it runs the pass every step.
+``sampled`` and ``rek`` never form the m-length residual b - z - A x, and
+neither starts the memo.  Where another engine has started the column
 side's memo, sampled keeps the n-length A^T z the same way
 (``_ColResidual``) and scores its columns from it; elsewhere it dots them.
 A Gram row computed for one use costs more than the dots it saves, so a
@@ -51,6 +56,7 @@ replays its original bit for bit.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -99,6 +105,15 @@ RESIDUAL_REFRESH = 1000
 # on the touched entries (counted with repeats); on the 60000 x 209 benchmark
 # system the two passes cost about the same at a tenth
 _TOUCHED_FRACTION = 0.1
+
+# agrak skips its row pass when bound^2 * (1 + _BOUND_MARGIN) is below the best
+# column criterion.  The bound adds exact increments to a square root taken at
+# the last row pass, while the entries it bounds are rounded: an update writes
+# each entry at most twice, each write summing at most n + 1 rounded products
+# into it, and at most RESIDUAL_REFRESH updates run between two row passes.  So
+# the computed criteria stay below bound^2 * (1 + 4000 (n + 3) 2^-53), inside
+# this margin for n below 2 * 10^6: the skip never changes a pick
+_BOUND_MARGIN = 1e-6
 
 # steps whose draws rek (row and column pairs) and sampled (subsets) take at a time
 _DRAW_BLOCK = 32
@@ -182,10 +197,18 @@ class _Residuals:
     stacked criteria; the projection helpers update both and count ``updates``.
 
     The helpers also ``touch`` the entries of ``row`` they write, so that
-    ``criteria()`` recomputes the row criteria only there.  ``touched`` is
-    None when the next pass must cover every row: after a build, after an
-    update that wrote every entry (dense storage, memoized Gram rows), and
-    once more than ``_TOUCHED_FRACTION`` of m entries were recorded.
+    the next row pass (``best_row``) recomputes the row criteria only there.
+    ``touched`` is None when that pass must cover every row: after a build,
+    after an update that wrote every entry (dense storage, memoized Gram
+    rows, or a sparse Gram row that listed none), and once more than
+    ``_TOUCHED_FRACTION`` of m entries were recorded.
+
+    ``bound`` is at least the square root of every row criterion.  Each row
+    pass sets it, and the helpers raise it by what an update can move one
+    by.  A Gram row update with coefficient d on row k moves entry i by
+    |d A^(i) . A^(k)| <= |d| ||A^(i)|| ||A^(k)|| (Cauchy-Schwarz), which is
+    under |d| ||A^(k)|| once divided by sqrt(1 + ||A^(i)||^2); adding c
+    times a column, or d to one entry, moves one by under |c| or |d|.
     """
 
     def __init__(self, system, x: np.ndarray, z: np.ndarray):
@@ -197,6 +220,7 @@ class _Residuals:
         self.updates = 0
         self.touched, self.n_touched = None, 0
         self.touch_limit = _TOUCHED_FRACTION * mat.m
+        self.bound = math.inf
 
     @classmethod
     def of(cls, state: SolverState, system) -> _Residuals:
@@ -221,12 +245,17 @@ class _Residuals:
         else:
             self.touched.append(idx)
 
-    def criteria(self):
-        """Normalized squared criteria of every stacked row, in the buffers.
+    def room(self):
+        """How many more written indices ``touch`` can keep; -1 when none."""
+        return -1 if self.touched is None else self.touch_limit - self.n_touched
+
+    def best_row(self) -> int:
+        """Row pass: the normalized squared row criteria, in ``row_crit``; returns
+        the best row (the smallest index among ties) and sets ``bound``.
 
         Row criteria are recomputed only on the touched entries when they were
         recorded: the same correctly rounded operations as the full pass, so
-        the buffers hold the same bits either way.
+        the buffer holds the same bits either way.
         """
         touched, aug = self.touched, self.mat.aug_row_norms_sq
         if touched is None:
@@ -239,9 +268,17 @@ class _Residuals:
             r /= aug[idx]
             self.row_crit[idx] = r
         self.touched, self.n_touched = [], 0
+        # the method: np.argmax's dispatch costs about a microsecond a call
+        i = int(self.row_crit.argmax())
+        self.bound = math.sqrt(self.row_crit[i])
+        return i
+
+    def best_col(self) -> int:
+        """The normalized squared column criteria, in ``col_crit``; returns the
+        best column (the smallest index among ties)."""
         np.multiply(self.col, self.col, out=self.col_crit)
         self.col_crit /= self.mat.col_norms_sq
-        return self.row_crit, self.col_crit
+        return int(self.col_crit.argmax())
 
 
 class _ColResidual:
@@ -277,7 +314,8 @@ def _apply_stacked_row(mat, i: int, b_i: float, x, z, res: _Residuals | None) ->
     if res is not None:
         res.row[i] -= d
         res.touch((i,))
-        res.touch(mat.gram_row_update(res.row, i, -d))
+        res.touch(mat.gram_row_update(res.row, i, -d, res.room()))
+        res.bound += abs(d) * (1.0 + math.sqrt(mat.row_norms_sq[i]))
         mat.add_row_to(res.col, i, d)
         res.updates += 1
     return d
@@ -291,6 +329,7 @@ def _apply_column_projection(mat, j: int, z, res: _Residuals | None) -> float:
     mat.add_col_to(z, j, -c)
     if res is not None:
         res.touch(mat.add_col_to(res.row, j, c))
+        res.bound += abs(c)
         mat.gram_col_update(res.col, j, -c)
         res.updates += 1
     return c
@@ -303,7 +342,8 @@ def _apply_x_refresh(mat, i: int, rhs_i: float, x, res: _Residuals | None) -> fl
     d = r / mat.row_norms_sq[i]
     mat.add_row_to(x, i, d)
     if res is not None:
-        res.touch(mat.gram_row_update(res.row, i, -d))
+        res.touch(mat.gram_row_update(res.row, i, -d, res.room()))
+        res.bound += abs(d) * math.sqrt(mat.row_norms_sq[i])
         res.updates += 1
     return d
 
@@ -337,32 +377,34 @@ def column_z_update(z, j: int, mat: RowColMatrix) -> np.ndarray:
     return z
 
 
-def _stacked_argmax(row_crit: np.ndarray, col_crit: np.ndarray):
-    """Best stacked index (rows first, then columns) and its criterion.
+def _stacked_argmax(res: _Residuals, i: int, j: int):
+    """Best stacked index (rows first, then columns) and its criterion, from
+    the best row i and best column j of ``res``'s criteria.
 
-    Ties break toward the row block, then toward the smallest index.
-    Returns (None, 0.0) when every criterion is zero.
+    Ties break toward the row block.  Returns (None, 0.0) when every
+    criterion is zero.
     """
-    i_best = int(np.argmax(row_crit))
-    j_best = int(np.argmax(col_crit))
-    max_row = float(row_crit[i_best])
-    max_col = float(col_crit[j_best])
+    max_row = float(res.row_crit[i])
+    max_col = float(res.col_crit[j])
     if max_row == 0.0 and max_col == 0.0:
         return None, 0.0
     if max_row >= max_col:
-        return i_best, max_row
-    return row_crit.shape[0] + j_best, max_col
+        return i, max_row
+    return res.mat.m + j, max_col
 
 
-def _apply(state: SolverState, system, t: int, value: float, res: _Residuals | None,
-           refresh: bool, kept: _ColResidual | None = None) -> StepOutcome:
+def _apply(state: SolverState, system, t: int, value: float | None,
+           res: _Residuals | None, refresh: bool, kept: _ColResidual | None = None,
+           row: int | None = None) -> StepOutcome:
     """Project the selected stacked index t, keeping ``res`` (grak's or agrak's
     residuals, or None) and ``kept`` (sampled's A^T z, or None) in step;
     ``value`` is its selection criterion.
 
     A row index takes the stacked-row projection; a column index cleans z
-    and, with ``refresh``, then refreshes x along one weighted-randomly
-    drawn row, which the outcome reports as its row.
+    and, with ``refresh``, then refreshes x along one row, which the outcome
+    reports as its row: ``row`` when given (rek's pre-drawn row), else one
+    drawn weighted-randomly.  A ``value`` of None reports the refresh's
+    |d| instead.
     """
     mat = system.mat
     if t < mat.m:
@@ -379,9 +421,11 @@ def _apply(state: SolverState, system, t: int, value: float, res: _Residuals | N
             kept.updates = RESIDUAL_REFRESH if c == 0.0 else kept.updates + 1
         i = None
         if refresh:
-            i = weighted_row_sample(mat, state.rng)
+            i = weighted_row_sample(mat, state.rng) if row is None else row
             # the column projection moved z, so b_i - z_i is read after it
-            _apply_x_refresh(mat, i, system.b[i] - state.z[i], state.x, res)
+            d = _apply_x_refresh(mat, i, system.b[i] - state.z[i], state.x, res)
+            if value is None:
+                value = abs(d)
         out = StepOutcome("col", row=i, col=j, value=value)
     state.k += 1
     return out
@@ -426,10 +470,7 @@ def rek_step(state: SolverState, system) -> StepOutcome:
     row draw projects x onto the updated equation A^(i) x = b_i - z_i."""
     mat = system.mat
     i, j = _RekDraws.of(state, mat).take()
-    _apply_column_projection(mat, j, state.z, None)
-    d = _apply_x_refresh(mat, i, system.b[i] - state.z[i], state.x, None)
-    state.k += 1
-    return StepOutcome("col", row=i, col=j, value=abs(d))
+    return _apply(state, system, mat.m + j, None, None, refresh=True, row=i)
 
 
 def grak_build_selection(state: SolverState, system) -> GreedySelection:
@@ -441,14 +482,15 @@ def grak_build_selection(state: SolverState, system) -> GreedySelection:
     stacked Frobenius weight, so the argmax index always qualifies.
     """
     res = _Residuals.of(state, system)
-    row_crit, col_crit = res.criteria()
+    i, j = res.best_row(), res.best_col()
+    row_crit, col_crit = res.row_crit, res.col_crit
     mat = system.mat
     total = float(res.row @ res.row) + float(res.col @ res.col)
     if total <= 0.0:
         raise ZeroResidual("stacked residual is zero")
     base = 1.0 / (mat.m + 2.0 * mat.frob_sq)
-    max_row = float(row_crit.max())
-    max_col = float(col_crit.max())
+    max_row = float(row_crit[i])
+    max_col = float(col_crit[j])
     eps_row = 0.5 * (max_row / total + base)
     eps_col = 0.5 * (max_col / total + base)
     eps = max(eps_row, eps_col)
@@ -458,9 +500,9 @@ def grak_build_selection(state: SolverState, system) -> GreedySelection:
     if row_set.size == 0 and col_set.size == 0:
         # rounding pushed the threshold past the max; keep the best index
         if max_row >= max_col:
-            row_set = np.array([np.argmax(row_crit)])
+            row_set = np.array([i])
         else:
-            col_set = np.array([np.argmax(col_crit)])
+            col_set = np.array([j])
     return GreedySelection(
         eps=eps,
         eps_row=eps_row,
@@ -491,10 +533,17 @@ def agrak_step(state: SolverState, system) -> StepOutcome:
     """One accelerated step: deterministic argmax selection; column branches
     also refresh x along a weighted-randomly drawn row.
 
-    Ties break toward the row block, then toward the smallest index.
+    Ties break toward the row block, then toward the smallest index.  The
+    row pass is skipped when the residuals' ``bound`` shows that no row
+    criterion reaches the best column's (see ``_BOUND_MARGIN``); the pick is
+    the same either way.
     """
     res = _Residuals.of(state, system)
-    t, value = _stacked_argmax(*res.criteria())
+    j = res.best_col()
+    max_col = float(res.col_crit[j])
+    if res.bound * res.bound * (1.0 + _BOUND_MARGIN) < max_col:
+        return _apply(state, system, system.mat.m + j, max_col, res, refresh=True)
+    t, value = _stacked_argmax(res, res.best_row(), j)
     if t is None:
         return StepOutcome("converged")
     return _apply(state, system, t, value, res, refresh=True)
@@ -603,7 +652,8 @@ def sampled_step(state: SolverState, system, eta_s: float = 0.01) -> StepOutcome
         t, value = block.take(system.b, state.x, state.z)
     if t is None:
         # full sweep on fresh residuals, not stored: the greedy cache is never started
-        t, value = _stacked_argmax(*_Residuals(system, state.x, state.z).criteria())
+        res = _Residuals(system, state.x, state.z)
+        t, value = _stacked_argmax(res, res.best_row(), res.best_col())
         if t is None:
             return StepOutcome("converged")
     return _apply(state, system, t, value, None, refresh=True, kept=block.kept)

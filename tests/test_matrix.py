@@ -204,7 +204,7 @@ def test_gram_memo_sparse_padded_and_segmented(rng):
         for (update, lines, other, p, _), k in zip(_gram_sides(mat), ks):
             gram_k = dense @ dense[k] if lines is mat._row_lines else dense.T @ dense[:, k]
             if mat is uneven:
-                hit = lines.indices[lines.indptr[k]:lines.indptr[k + 1]]
+                hit = lines.indices[lines.starts[k]:lines.ends[k]]
                 assert other.lengths[hit].sum() > 4096
             for c in (0.7, -1.3):
                 out = rng.standard_normal(p)
@@ -224,8 +224,8 @@ def test_gram_memo_respects_size_cap(rng, monkeypatch):
     calls = []
     for update, lines, other, p, k in _gram_sides(mat):
         kernel = lines.gram_kernel
-        lines.gram_kernel = (lambda other, out, k, c, kernel=kernel:
-                             calls.append(k) or kernel(other, out, k, c))
+        lines.gram_kernel = (lambda other, out, k, c, room, kernel=kernel:
+                             calls.append(k) or kernel(other, out, k, c, room))
         for _ in range(2):
             out = rng.standard_normal(p)
             expected = out.copy()
@@ -390,6 +390,40 @@ def test_sparse_batched_dots_match_gathered_dots(monkeypatch):
 
 
 @pytest.mark.parametrize("storage", ["padded", "segmented"])
+def test_sparse_gram_kernel_routes_match_gathered_lines(storage):
+    # a sparse Gram row adds the other operand's lines where line k is
+    # nonzero, one after another in ascending order; the row side reads them
+    # in place (its other store lies last line first) unless the caller has
+    # room for the written indices, and then gathers them, as the column side
+    # always does.  Each route gives the bits of that sum, written out here
+    # line by line, and a gathered route lists every entry it wrote
+    mat = _storage_matrix(storage)
+    rows, cols = mat._csr, mat._csr.T.tocsr()
+    rng = np.random.default_rng(12)
+    for lines, other, operand, other_operand in ((mat._row_lines, mat._col_lines, rows, cols),
+                                                 (mat._col_lines, mat._row_lines, cols, rows)):
+        # line 0 is the full row or column
+        for k in (0, 1, lines.count - 1, *rng.choice(lines.count, size=3, replace=False)):
+            line = operand[k]
+            hit = other_operand[line.indices]
+            for c in (1.0, -0.7, 0.0):
+                start = rng.standard_normal(lines.count)
+                expected = start.tolist()
+                for r, w in enumerate((c * line.data).tolist()):
+                    seg = slice(hit.indptr[r], hit.indptr[r + 1])
+                    for i, a in zip(hit.indices[seg].tolist(), hit.data[seg].tolist()):
+                        expected[i] += a * w
+                for room in (-1, np.inf):
+                    out = start.copy()
+                    written = lines.gram_kernel(other, out, k, c, room)
+                    assert out.tobytes() == np.array(expected).tobytes(), (k, c, room)
+                    in_place = lines is mat._row_lines and room == -1
+                    assert (written is None) == in_place
+                    if written is not None:
+                        assert set(written.tolist()) == set(hit.indices.tolist())
+
+
+@pytest.mark.parametrize("storage", ["padded", "segmented"])
 def test_sparse_index_arrays_are_intp(storage):
     # numpy casts an int32 index array on every fancy index, and the compiled
     # loops take one integer type throughout, so every index array a sparse
@@ -400,8 +434,10 @@ def test_sparse_index_arrays_are_intp(storage):
     ids = np.arange(3, dtype=np.int32)
     for lines in (mat._row_lines, mat._col_lines):
         checked = lines.checked(ids)
+        offsets = lines._offsets(checked)
         arrays = [lines.indptr, lines.indices, lines.lengths, checked,
-                  lines.bounds[checked].view(np.intp), *lines._gather(checked)[1:]]
+                  lines.bounds[checked].view(np.intp), lines._gather(checked, offsets)[1],
+                  offsets]
         assert [a.dtype for a in arrays] == [np.dtype(np.intp)] * len(arrays)
 
 

@@ -12,6 +12,7 @@ import kaczlab as kl
 from kaczlab import RngStream, build_matrix
 from kaczlab.sampling import simple_random_subsets, subset_size
 from kaczlab.solvers import (
+    _BOUND_MARGIN,
     _DRAW_BLOCK,
     _TOUCHED_FRACTION,
     RESIDUAL_REFRESH,
@@ -926,7 +927,8 @@ def test_step_invariants_over_mixed_sequences(storage, seed, moves):
             assert res.system is system and res.x is st.x and res.z is st.z
             np.testing.assert_allclose(res.row, row, rtol=0, atol=atol)
             np.testing.assert_allclose(res.col, col, rtol=0, atol=atol * np.sqrt(mat.frob_sq))
-            row_crit, col_crit = res.criteria()
+            res.best_row(), res.best_col()
+            row_crit, col_crit = res.row_crit, res.col_crit
             np.testing.assert_allclose(row_crit, row * row / mat.aug_row_norms_sq,
                                        rtol=1e-9, atol=atol * atol)
             np.testing.assert_allclose(col_crit, col * col / mat.col_norms_sq,
@@ -1154,7 +1156,8 @@ def test_touched_criteria_match_full_recompute(storage, monkeypatch):
     def check(st, label):
         res = st.cache
         seen.add((label, "full" if res.touched is None else "touched"))
-        row_crit, col_crit = res.criteria()
+        res.best_row(), res.best_col()
+        row_crit, col_crit = res.row_crit, res.col_crit
         full_row = res.row * res.row
         full_row /= mat.aug_row_norms_sq
         full_col = res.col * res.col
@@ -1193,3 +1196,50 @@ def test_touched_criteria_match_full_recompute(storage, monkeypatch):
     else:
         assert ("grak_step col", "touched") in seen
         assert (("grak_step row", "touched") in seen) == (storage == "sparse, unmemoized")
+
+
+def _row_pass_skip_system(kind):
+    """A dense and a sparse Gaussian system, where rows win most agrak steps,
+    and an N=16 tomography system, where columns win most of them."""
+    if kind == "dense":
+        return make_gaussian_system(200, 50, seed=11, with_reference=False)
+    if kind == "sparse":
+        mat = kl.gen_sparse_gaussian(3000, 60, 0.05, seed=12)
+        return kl.LinearSystem(mat, np.random.default_rng(12).standard_normal(mat.m))
+    spec = kl.TomoSpec(size=16, angles=tuple(np.arange(0.0, 179.0, 6.0)), rays=23)
+    mat, phantom = kl.gen_paralleltomo(spec)
+    return kl.LinearSystem(mat, kl.build_inconsistent_rhs(mat, phantom, noise_seed=13,
+                                                          noise_scale=0.5))
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse", "tomography"])
+def test_agrak_row_pass_skip_keeps_every_pick(kind, monkeypatch):
+    # agrak skips its row pass while the residuals' bound shows that no row
+    # criterion reaches the best column's; forced off (an infinite margin),
+    # every step runs the pass, and the picks, their criteria and the final
+    # iterates are the same bits
+    system = _row_pass_skip_system(kind)
+    passes = []
+    best_row = _Residuals.best_row
+    monkeypatch.setattr(_Residuals, "best_row", lambda res: passes.append(1) or best_row(res))
+    steps = 2000
+
+    def trajectory(seed, margin):
+        monkeypatch.setattr(kl.solvers, "_BOUND_MARGIN", margin)
+        passes.clear()
+        st = init_state(system, seed)
+        picks = []
+        for _ in range(steps):
+            out = agrak_step(st, system)
+            picks.append((out.kind, out.row, out.col, out.value))
+        return picks, st.x.tobytes(), st.z.tobytes()
+
+    for seed in (0, 1, 2):
+        skipping = trajectory(seed, _BOUND_MARGIN)
+        skipped = steps - len(passes)
+        full = trajectory(seed, np.inf)
+        assert len(passes) == steps
+        assert skipping == full
+        assert {pick[0] for pick in full[0]} == {"row", "col"}
+        if kind == "tomography":
+            assert skipped > 0
